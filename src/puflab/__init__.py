@@ -2,9 +2,9 @@
 
 The package is organised bottom-up:
 
-* ``bits``     fixed-width bit vectors and their hex codec
+* ``bits``     the hex codec of fixed-width bit vectors
 * ``features`` challenge encodings (raw and parity)
-* ``core``     delay-race simulation and its linear reduction
+* ``core``     delay-race oracle, its linear reduction, folded chain banks
 * ``crp``      dataset generation, persistence, splitting, import
 * ``attack``   logistic-regression attacks from scratch
 * ``metrics``  uniformity / uniqueness / reliability / bit-aliasing
@@ -14,11 +14,10 @@ The package is organised bottom-up:
 from .attack import (AttackReport, LrModel, attack_dataset, cross_entropy,
                      gradient, predict, predict_bits, prediction_rate,
                      sigmoid, train_logistic)
-from .bits import BitWord, HexFormatError, format_hex_word, parse_hex_word
+from .bits import HexFormatError, format_hex_word, parse_hex_word
 from .core import (ArbiterChain, DelayParams, LinearModel, MultiBitPuf,
-                   all_challenges, derive_seed, eval_brute, eval_linear,
-                   eval_multibit, linear_disagreements, random_challenges,
-                   sample_chain, sample_multibit, to_linear)
+                   all_challenges, derive_seed, linear_disagreements,
+                   random_challenges, sample_chain, sample_multibit, to_linear)
 from .crp import (CrpSet, DatasetError, collect_crps, generate_crps,
                   import_hex_rows, load_crps, save_crps, split_crps)
 from .features import FeatureKind, feature_matrix, phi, raw
@@ -30,14 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # bits
-    "BitWord", "HexFormatError", "format_hex_word", "parse_hex_word",
+    "HexFormatError", "format_hex_word", "parse_hex_word",
     # features
     "FeatureKind", "feature_matrix", "phi", "raw",
     # core
     "ArbiterChain", "DelayParams", "LinearModel", "MultiBitPuf",
-    "all_challenges", "derive_seed", "eval_brute", "eval_linear",
-    "eval_multibit", "linear_disagreements", "random_challenges",
-    "sample_chain", "sample_multibit", "to_linear",
+    "all_challenges", "derive_seed", "linear_disagreements",
+    "random_challenges", "sample_chain", "sample_multibit", "to_linear",
     # crp
     "CrpSet", "DatasetError", "collect_crps", "generate_crps",
     "import_hex_rows", "load_crps", "save_crps", "split_crps",

@@ -41,14 +41,11 @@ DEFAULT_TOL = 1e-7
 def sigmoid(z):
     """Numerically stable logistic function, exact at 0 and safe at |z| ~ 1000."""
     z = np.asarray(z, dtype=np.float64)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out[0] if scalar else out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
+    # is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)) without masked copies
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)[()]
 
 
 def _check_xy(X, y, binary=False):

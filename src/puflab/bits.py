@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-__all__ = ["BitWord", "HexFormatError", "parse_hex_word", "format_hex_word"]
+__all__ = ["HexFormatError", "parse_hex_word", "format_hex_word"]
 
 # Verilog-style width/base prefix, e.g. "64h..." or "64'h...".
 _PREFIX = re.compile(r"^\d+'?[hH]")
@@ -64,78 +64,14 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
 
 def format_hex_word(bits) -> str:
     """Render a bit vector as canonical hex: uppercase, zero-padded, MSB first."""
-    arr = _as_bits(bits)
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("expected a non-empty 1-D bit sequence")
+    if arr.max(initial=0) > 1:
+        raise ValueError("bit values must be 0 or 1")
     width = arr.size
     pad = (-width) % 8
     padded = np.concatenate([np.zeros(pad, dtype=np.uint8), arr])
     value = int.from_bytes(np.packbits(padded).tobytes(), "big")
     return f"{value:0{(width + 3) // 4}X}"
 
-
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-D bit sequence")
-    if arr.max(initial=0) > 1:
-        raise ValueError("bit values must be 0 or 1")
-    return arr
-
-
-class BitWord:
-    """Immutable fixed-width bit vector, most significant bit first."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits):
-        arr = _as_bits(bits).copy()
-        arr.flags.writeable = False
-        self._bits = arr
-
-    @classmethod
-    def from_hex(cls, text: str, width: int) -> "BitWord":
-        return cls(parse_hex_word(text, width))
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "BitWord":
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls.from_hex(f"{value:X}", width)
-
-    @property
-    def width(self) -> int:
-        return self._bits.size
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self._bits
-
-    def to_hex(self) -> str:
-        return format_hex_word(self._bits)
-
-    def to_int(self) -> int:
-        return int(self.to_hex(), 16)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._bits
-        return self._bits.astype(dtype)
-
-    def __len__(self) -> int:
-        return self._bits.size
-
-    def __getitem__(self, idx):
-        return self._bits[idx]
-
-    def __iter__(self):
-        return iter(self._bits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitWord):
-            return NotImplemented
-        return self.width == other.width and np.array_equal(self._bits, other._bits)
-
-    def __hash__(self) -> int:
-        return hash((self.width, self._bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BitWord({self.to_hex()!r}, width={self.width})"

@@ -28,11 +28,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attack import AttackReport, attack_dataset
+from .attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL, AttackReport,
+                     attack_dataset)
 from .bits import HexFormatError, format_hex_word
-from .core import (DelayParams, LinearModel, all_challenges, derive_seed,
-                   eval_brute, eval_linear, random_challenges, sample_chain,
-                   to_linear)
+from .core import (DelayParams, all_challenges, derive_seed, random_challenges,
+                   sample_chain, to_linear)
 from .crp import DatasetError, generate_crps, load_crps, save_crps
 from .features import FeatureKind
 from .metrics import evaluate_quality
@@ -79,25 +79,28 @@ def _nonneg_int(text):
 
 
 def _float(text):
-    return float(text)
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _pos_float(text):
-    value = float(text)
+    value = _float(text)
     if value <= 0:
         raise ValueError("must be > 0")
     return value
 
 
 def _nonneg_float(text):
-    value = float(text)
+    value = _float(text)
     if value < 0:
         raise ValueError("must be >= 0")
     return value
 
 
 def _fraction(text):
-    value = float(text)
+    value = _float(text)
     if not 0.0 < value < 1.0:
         raise ValueError("must be strictly between 0 and 1")
     return value
@@ -123,18 +126,14 @@ def _path(text):
     return str(text)
 
 
-def _pos_int_list(text):
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(_pos_int(p) for p in items)
-
-
-def _fraction_list(text):
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(_fraction(p) for p in items)
+def _list_of(parse):
+    """Parser for a comma list whose items each go through ``parse``."""
+    def parse_list(text):
+        items = [p.strip() for p in str(text).split(",") if p.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(parse(p) for p in items)
+    return parse_list
 
 
 def _read_config(path):
@@ -202,18 +201,43 @@ def _write_text(path, lines):
 
 
 # ---------------------------------------------------------------------------
+# option groups shared by several commands; each command splices them in at
+# a fixed place, because artifacts echo the options in declaration order
+
+BANK_OPTS = (
+    Opt("n", _pos_int, REQUIRED, "challenge bits (stages per chain)"),
+    Opt("chains", _pos_int, 1, "parallel chains = response bits"),
+)
+
+DELAY_OPTS = (
+    Opt("noise-sigma", _nonneg_float, 0.0,
+        "std-dev of measurement noise on the delay difference"),
+    Opt("delay-mean", _float, DelayParams.mean,
+        "mean of the per-path delay distribution"),
+    Opt("delay-sigma", _pos_float, DelayParams.sigma,
+        "std-dev of the per-path delay distribution"),
+)
+
+FEATURES_OPT = Opt("features", _features, FeatureKind.PARITY,
+                   "challenge encoding: 'parity' or 'raw'")
+
+TRAIN_OPTS = (
+    Opt("lr", _pos_float, DEFAULT_LR, "gradient-descent step size"),
+    Opt("epochs", _pos_int, DEFAULT_EPOCHS, "maximum training passes"),
+    Opt("l2", _nonneg_float, 0.0, "ridge penalty (bias excluded)"),
+    Opt("tol", _nonneg_float, DEFAULT_TOL,
+        "stop once an epoch improves the loss less than this"),
+)
+
+
+# ---------------------------------------------------------------------------
 # generate
 
 GENERATE_OPTS = (
-    Opt("n", _pos_int, REQUIRED, "challenge bits (stages per chain)"),
-    Opt("chains", _pos_int, 1, "parallel chains = response bits"),
+    *BANK_OPTS,
     Opt("count", _pos_int, REQUIRED, "number of CRPs to draw"),
     Opt("seed", _seed, None, "master seed; omit for a throwaway instance"),
-    Opt("noise-sigma", _nonneg_float, 0.0,
-        "std-dev of measurement noise on the delay difference"),
-    Opt("delay-mean", _float, 10.0, "mean of the per-path delay distribution"),
-    Opt("delay-sigma", _pos_float, 0.5,
-        "std-dev of the per-path delay distribution"),
+    *DELAY_OPTS,
     Opt("out", _path, REQUIRED, "output dataset path"),
 )
 
@@ -234,14 +258,9 @@ def cmd_generate(ns) -> int:
 # attack
 
 ATTACK_OPTS = (
-    Opt("features", _features, FeatureKind.PARITY,
-        "challenge encoding: 'parity' or 'raw'"),
+    FEATURES_OPT,
     Opt("test", _fraction, 0.15, "held-out fraction of the rows"),
-    Opt("lr", _pos_float, 0.05, "gradient-descent step size"),
-    Opt("epochs", _pos_int, 500, "maximum training passes"),
-    Opt("l2", _nonneg_float, 0.0, "ridge penalty (bias excluded)"),
-    Opt("tol", _nonneg_float, 1e-7,
-        "stop once an epoch improves the loss less than this"),
+    *TRAIN_OPTS,
     Opt("seed", _seed, None, "seed for the train/test split"),
     Opt("out", _path, None, "also write the CSV report to this path"),
 )
@@ -268,25 +287,15 @@ def cmd_attack(ns) -> int:
 # sweep
 
 SWEEP_OPTS = (
-    Opt("n", _pos_int, REQUIRED, "challenge bits (stages per chain)"),
-    Opt("chains", _pos_int, 1, "parallel chains = response bits"),
-    Opt("counts", _pos_int_list, (750, 1650, 2850, 4920),
+    *BANK_OPTS,
+    Opt("counts", _list_of(_pos_int), (750, 1650, 2850, 4920),
         "comma list of dataset sizes; prefixes of one drawn dataset"),
-    Opt("fractions", _fraction_list, (0.15, 0.25, 0.35),
+    Opt("fractions", _list_of(_fraction), (0.15, 0.25, 0.35),
         "comma list of held-out fractions"),
-    Opt("features", _features, FeatureKind.PARITY,
-        "challenge encoding: 'parity' or 'raw'"),
+    FEATURES_OPT,
     Opt("seed", _seed, None, "master seed for instance, data and splits"),
-    Opt("noise-sigma", _nonneg_float, 0.0,
-        "std-dev of measurement noise on the delay difference"),
-    Opt("delay-mean", _float, 10.0, "mean of the per-path delay distribution"),
-    Opt("delay-sigma", _pos_float, 0.5,
-        "std-dev of the per-path delay distribution"),
-    Opt("lr", _pos_float, 0.05, "gradient-descent step size"),
-    Opt("epochs", _pos_int, 500, "maximum training passes"),
-    Opt("l2", _nonneg_float, 0.0, "ridge penalty (bias excluded)"),
-    Opt("tol", _nonneg_float, 1e-7,
-        "stop once an epoch improves the loss less than this"),
+    *DELAY_OPTS,
+    *TRAIN_OPTS,
     Opt("out", _path, None, "also write the CSV table to this path"),
 )
 
@@ -329,16 +338,11 @@ def cmd_sweep(ns) -> int:
 # metrics
 
 METRICS_OPTS = (
-    Opt("n", _pos_int, REQUIRED, "challenge bits (stages per chain)"),
-    Opt("chains", _pos_int, 1, "parallel chains = response bits"),
+    *BANK_OPTS,
     Opt("instances", _pos_int, 50, "population size"),
     Opt("challenges", _pos_int, 1000, "challenges per instance"),
     Opt("repeats", _pos_int, 5, "noisy re-measurements per instance"),
-    Opt("noise-sigma", _nonneg_float, 0.0,
-        "std-dev of measurement noise on the delay difference"),
-    Opt("delay-mean", _float, 10.0, "mean of the per-path delay distribution"),
-    Opt("delay-sigma", _pos_float, 0.5,
-        "std-dev of the per-path delay distribution"),
+    *DELAY_OPTS,
     Opt("seed", _seed, None, "master seed for the study"),
     Opt("out", _path, None, "also write the report to this path"),
 )
@@ -382,9 +386,7 @@ def cmd_oracle_check(ns) -> int:
             chain_seed = derive_seed(ns.seed, 0, n, idx)
             chain = sample_chain(n, seed=chain_seed)
             model = to_linear(chain)
-            if getattr(ns, "corrupt", False):
-                model = LinearModel(-model.weights)
-            disagree = eval_brute(chain, challenges) != eval_linear(model, challenges)
+            disagree = chain.respond(challenges) != model.respond(challenges)
             bad += int(np.count_nonzero(disagree))
             for c_idx in np.flatnonzero(disagree)[:3]:
                 print(f"mismatch: n={n} chain_seed={chain_seed} "
@@ -454,9 +456,6 @@ def _build_parser():
             flags = ["-o", "--out"] if opt.name == "out" else [f"--{opt.name}"]
             p.add_argument(*flags, dest=opt.dest, default=None, metavar="V",
                            help=opt.help + suffix)
-        if name == "oracle-check":
-            p.add_argument("--corrupt", action="store_true",
-                           help=argparse.SUPPRESS)
         p.set_defaults(_opts=opts, _func=func, _command=name)
     return parser
 
@@ -471,8 +470,6 @@ def main(argv=None) -> int:
         merged = _merge(args, args._opts, args._command)
         if args._command == "attack":
             merged.dataset = args.dataset
-        if args._command == "oracle-check":
-            merged.corrupt = args.corrupt
         return args._func(merged)
     except UsageError as exc:
         print(f"puflab: error: {exc}", file=sys.stderr)

@@ -10,12 +10,15 @@ counts as 0.
 
 The race is equivalent to a linear threshold function over the parity
 transform of the challenge: ``to_linear`` folds the 4n stage delays into n+1
-weights ``w`` with ``eval_linear(w, c) == eval_brute(chain, c)`` for every
-challenge.  Measurement noise is modelled as a single Gaussian disturbance
-added to the final delay difference.
+weights ``w`` with ``to_linear(chain).respond(c) == chain.respond(c)`` for
+every challenge.  Measurement noise is modelled as a single Gaussian
+disturbance added to the final delay difference.
 
-A multi-bit instance is a bank of independent chains evaluated in parallel on
-one shared challenge, one response bit per chain.
+A multi-bit instance is a bank of independent chains sharing one challenge,
+one response bit per chain.  The bank folds its chains once, when it is
+built, and responds through the folded weights; ``ArbiterChain.delta`` keeps
+the stage-by-stage race as the reference oracle that the fold is checked
+against.
 """
 
 from __future__ import annotations
@@ -34,17 +37,15 @@ __all__ = [
     "derive_seed",
     "sample_chain",
     "sample_multibit",
-    "eval_brute",
-    "eval_linear",
-    "eval_multibit",
     "to_linear",
     "all_challenges",
     "random_challenges",
     "linear_disagreements",
 ]
 
-# Column order of the per-stage delay array.
-DELAY_COLUMNS = ("d_tt", "d_bb", "d_tb", "d_bt")
+# Rows a bank evaluates at a time; bounds the float64 temporaries of the
+# parity features at a few (BLOCK_ROWS, n+1) arrays whatever the batch size.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,10 @@ class DelayParams:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
+        if not np.isfinite(self.mean):
+            raise ValueError("mean must be finite")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and > 0")
 
 
 def derive_seed(master, *key) -> int:
@@ -100,8 +103,10 @@ class ArbiterChain:
         delays = np.array(delays, dtype=np.float64)
         if delays.ndim != 2 or delays.shape[1] != 4 or delays.shape[0] < 1:
             raise ValueError("delays must have shape (n, 4) with n >= 1")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not np.all(np.isfinite(delays)):
+            raise ValueError("delays must be finite")
+        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
         delays.setflags(write=False)
         self._delays = delays
         self._noise_sigma = float(noise_sigma)
@@ -163,10 +168,13 @@ class MultiBitPuf:
     """A bank of independent arbiter chains sharing one challenge.
 
     Chain k produces response bit k, so an instance with ``width`` chains of
-    n stages maps an n-bit challenge to a ``width``-bit response word.
+    n stages maps an n-bit challenge to a ``width``-bit response word.  The
+    chains are folded once, here, into an (n+1, width) weight matrix whose
+    column k is ``to_linear(chains[k]).weights``; responses come from that
+    matrix, not from the race.
     """
 
-    __slots__ = ("_chains", "_seed")
+    __slots__ = ("_chains", "_seed", "_weights", "_noise")
 
     def __init__(self, chains, seed=None):
         chains = tuple(chains)
@@ -177,6 +185,9 @@ class MultiBitPuf:
             raise ValueError("all chains must have the same number of stages")
         self._chains = chains
         self._seed = seed
+        self._weights = np.column_stack([to_linear(c).weights for c in chains])
+        self._noise = [(k, c.noise_sigma) for k, c in enumerate(chains)
+                       if c.noise_sigma > 0.0]
 
     @property
     def chains(self):
@@ -198,13 +209,20 @@ class MultiBitPuf:
         """Response words, shape (m, width); a single challenge gives (width,).
 
         Under noise every chain draws its own disturbance from a seed derived
-        per chain index, so a word is reproducible from ``noise_seed`` alone.
+        per chain index, so a word is reproducible from ``noise_seed`` alone
+        and bit k matches ``chains[k].respond(c, derive_seed(noise_seed, k))``.
         """
         bits, single = _as_batch(challenges, self.n_stages)
+        streams = [] if noise_seed is None else [
+            (k, sigma, np.random.default_rng(derive_seed(noise_seed, k)))
+            for k, sigma in self._noise]
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
-        for k, chain in enumerate(self._chains):
-            child = None if noise_seed is None else derive_seed(noise_seed, k)
-            out[:, k] = chain.respond(bits, noise_seed=child)
+        for start in range(0, bits.shape[0], BLOCK_ROWS):
+            block = bits[start:start + BLOCK_ROWS]
+            diff = feature_matrix(block, "parity") @ self._weights
+            for k, sigma, rng in streams:
+                diff[:, k] += sigma * rng.standard_normal(block.shape[0])
+            out[start:start + BLOCK_ROWS] = diff > 0
         return out[0] if single else out
 
     def __repr__(self):
@@ -276,11 +294,6 @@ def sample_multibit(n: int, width: int = None, params: DelayParams = None,
     return MultiBitPuf(chains, seed=seed)
 
 
-def eval_brute(chain: ArbiterChain, challenges, noise_seed=None):
-    """Stage-by-stage race evaluation; the reference oracle for everything else."""
-    return chain.respond(challenges, noise_seed=noise_seed)
-
-
 def to_linear(chain: ArbiterChain) -> LinearModel:
     """Fold a chain's 4n path delays into the n+1 weights of its threshold form.
 
@@ -301,18 +314,6 @@ def to_linear(chain: ArbiterChain) -> LinearModel:
     w[1:-1] = half_sum[:-1] + half_diff[1:]
     w[-1] = half_sum[-1]
     return LinearModel(w)
-
-
-def eval_linear(model, challenges):
-    """Threshold evaluation; accepts a LinearModel or a bare weight vector."""
-    if not isinstance(model, LinearModel):
-        model = LinearModel(model)
-    return model.respond(challenges)
-
-
-def eval_multibit(puf: MultiBitPuf, challenges, noise_seed=None):
-    """Response words of a multi-bit instance (delegates to the chain bank)."""
-    return puf.respond(challenges, noise_seed=noise_seed)
 
 
 def all_challenges(n: int) -> np.ndarray:

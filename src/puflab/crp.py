@@ -185,8 +185,13 @@ def save_crps(path, crps: CrpSet):
 
 def load_crps(path) -> CrpSet:
     """Read a puf-crp v1 file; any malformed line raises with its line number."""
-    with open(os.fspath(path), "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(os.fspath(path), "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"non-ASCII byte 0x{data[exc.start]:02X}",
+                           line=data.count(b"\n", 0, exc.start) + 1) from None
     if not lines or lines[0] != MAGIC:
         raise DatasetError(f"expected header {MAGIC!r}", line=1)
     if len(lines) < 2 or not (shape := _SHAPE_RE.match(lines[1])):

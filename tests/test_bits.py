@@ -1,9 +1,9 @@
-"""Hex codec and BitWord behaviour."""
+"""Hex codec behaviour."""
 
 import numpy as np
 import pytest
 
-from puflab.bits import BitWord, HexFormatError, format_hex_word, parse_hex_word
+from puflab.bits import HexFormatError, format_hex_word, parse_hex_word
 
 
 def test_parse_prefixed_word_is_msb_first():
@@ -90,34 +90,3 @@ def test_randomized_roundtrip():
         assert np.array_equal(parse_hex_word(f"{width}h{text.lower()}", width),
                               bits)
 
-
-def test_bitword_roundtrip_and_equality():
-    w = BitWord.from_hex("64h9283c630815977c", 64)
-    assert w.width == 64
-    assert len(w) == 64
-    assert w.to_hex() == "09283C630815977C"
-    assert w.to_int() == 0x09283C630815977C
-    assert w == BitWord.from_int(0x09283C630815977C, 64)
-    assert hash(w) == hash(BitWord.from_hex("09283c630815977c", 64))
-    assert w != BitWord.from_int(0, 64)
-    assert "09283C630815977C" in repr(w)
-
-
-def test_bitword_width_matters():
-    assert BitWord.from_int(5, 4) != BitWord.from_int(5, 8)
-    with pytest.raises(ValueError):
-        BitWord.from_int(16, 4)
-    with pytest.raises(ValueError):
-        BitWord.from_int(-1, 4)
-
-
-def test_bitword_is_immutable_array_like():
-    w = BitWord([1, 0, 1, 1])
-    arr = np.asarray(w)
-    assert arr.tolist() == [1, 0, 1, 1]
-    assert w[0] == 1 and w[1] == 0
-    assert list(w) == [1, 0, 1, 1]
-    with pytest.raises(ValueError):
-        arr[0] = 0
-    with pytest.raises(ValueError):
-        w.bits[0] = 0

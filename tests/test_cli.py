@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from puflab import cli
 from puflab.cli import main
+from puflab.core import LinearModel, to_linear
 from puflab.crp import load_crps
 
 
@@ -54,6 +56,12 @@ def test_generate_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--n", "16", "--count", "5",
                        "--delay-sigma", "0", "-o", str(tmp_path / "x.csv"))
     assert code == 1
+    for flag in ("--noise-sigma", "--delay-mean", "--delay-sigma"):
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, "generate", "--n", "16", "--count", "5",
+                               flag, value, "-o", str(tmp_path / "x.csv"))
+            assert code == 1 and flag in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,10 @@ def test_attack_usage_and_data_errors(big_dataset, tmp_path, capsys):
     assert code == 2 and "data error" in err
     code, _, err = run(capsys, "attack", str(big_dataset), "--features", "fft")
     assert code == 1 and "must be 'raw' or 'parity'" in err
+    for flag in ("--lr", "--l2", "--tol", "--test"):
+        for value in ("nan", "inf"):
+            code, _, err = run(capsys, "attack", str(big_dataset), flag, value)
+            assert code == 1 and flag in err and "finite" in err
 
 
 def test_attack_reports_malformed_line(tmp_path, capsys):
@@ -117,6 +129,11 @@ def test_attack_reports_malformed_line(tmp_path, capsys):
     code, _, err = run(capsys, "attack", str(ds))
     assert code == 2
     assert f"line {data_start + 3}" in err
+    lines[data_start + 2] = "\u00c9F,1"
+    ds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "attack", str(ds))
+    assert code == 2
+    assert f"data error: line {data_start + 3}: non-ASCII" in err
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +189,10 @@ def test_metrics_validation(capsys):
                        "--challenges", "30", "--noise-sigma", "0.5",
                        "--repeats", "1", "--seed", "3")
     assert code == 1 and "two repeats" in err
+    code, _, err = run(capsys, "metrics", "--n", "8", "--instances", "3",
+                       "--challenges", "30", "--noise-sigma", "nan",
+                       "--seed", "3")
+    assert code == 1 and "--noise-sigma" in err
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +216,10 @@ def test_oracle_check_default_scope(capsys):
     assert lines[-1].endswith("mismatches / 8240 checks")  # 2^1..2^12 + 50
 
 
-def test_oracle_check_corrupt_hook_names_culprits(capsys):
-    code, stdout, _ = run(capsys, "oracle-check", "--n", "2", "--chains", "1",
-                          "--corrupt")
+def test_oracle_check_corrupt_hook_names_culprits(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "to_linear",
+                        lambda chain: LinearModel(-to_linear(chain).weights))
+    code, stdout, _ = run(capsys, "oracle-check", "--n", "2", "--chains", "1")
     assert code == 3
     assert "mismatch: n=2 chain_seed=" in stdout
     assert "challenge=" in stdout

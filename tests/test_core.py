@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from puflab.core import (ArbiterChain, DelayParams, LinearModel, MultiBitPuf,
-                         all_challenges, derive_seed, eval_brute, eval_linear,
-                         eval_multibit, linear_disagreements, random_challenges,
-                         sample_chain, sample_multibit, to_linear)
+from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
+                         MultiBitPuf, all_challenges, derive_seed,
+                         linear_disagreements, random_challenges, sample_chain,
+                         sample_multibit, to_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,11 @@ def test_delay_params_validation():
         DelayParams(10.0, 0.0)
     with pytest.raises(ValueError):
         DelayParams(10.0, -1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            DelayParams(bad, 0.5)
+        with pytest.raises(ValueError):
+            DelayParams(10.0, bad)
 
 
 def test_sample_chain_shape_and_determinism():
@@ -53,6 +58,9 @@ def test_sample_chain_validation():
         sample_chain(0, seed=1)
     with pytest.raises(ValueError):
         sample_chain(4, seed=1, noise_sigma=-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sample_chain(4, seed=1, noise_sigma=bad)
 
 
 def test_chain_delay_array_checked_and_frozen():
@@ -60,6 +68,11 @@ def test_chain_delay_array_checked_and_frozen():
         ArbiterChain(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ArbiterChain(np.zeros((0, 4)))
+    for bad in (np.nan, np.inf):
+        delays = np.ones((2, 4))
+        delays[1, 2] = bad
+        with pytest.raises(ValueError):
+            ArbiterChain(delays)
     chain = ArbiterChain(np.ones((2, 4)))
     with pytest.raises(ValueError):
         chain.delays[0, 0] = 5.0
@@ -143,8 +156,9 @@ def test_linear_equivalence_random_wide():
     chal = random_challenges(2000, 64, seed=65)
     assert linear_disagreements(chain, chal) == 0
     model = to_linear(chain)
-    assert np.array_equal(eval_linear(model, chal), eval_brute(chain, chal))
-    assert np.array_equal(eval_linear(model.weights, chal), eval_brute(chain, chal))
+    assert np.array_equal(model.respond(chal), chain.respond(chal))
+    assert np.array_equal(LinearModel(model.weights).respond(chal),
+                          chain.respond(chal))
 
 
 def test_stage_local_shifts_cancel():
@@ -186,16 +200,22 @@ def test_multibit_width_and_chain_reconstruction():
 
 
 def test_multibit_word_is_per_chain_bits():
-    puf = sample_multibit(8, width=5, seed=31)
-    chal = random_challenges(50, 8, seed=32)
-    words = puf.respond(chal)
-    assert words.shape == (50, 5)
-    for k, chain in enumerate(puf.chains):
-        assert np.array_equal(words[:, k], chain.respond(chal))
+    """The bank's folded weights answer like each chain's race, bit for bit,
+    over several evaluation blocks and with per-chain noise streams."""
+    m = 2 * BLOCK_ROWS + 37
+    puf = sample_multibit(8, width=5, seed=31, noise_sigma=0.4)
+    chal = random_challenges(m, 8, seed=32)
+    for noise_seed in (None, 99):
+        words = puf.respond(chal, noise_seed=noise_seed)
+        assert words.shape == (m, 5)
+        for k, chain in enumerate(puf.chains):
+            child = None if noise_seed is None else derive_seed(noise_seed, k)
+            assert np.array_equal(words[:, k],
+                                  chain.respond(chal, noise_seed=child))
+    assert np.any(words != puf.respond(chal))
     single = puf.respond(chal[0])
     assert single.shape == (5,)
-    assert np.array_equal(single, words[0])
-    assert np.array_equal(eval_multibit(puf, chal), words)
+    assert np.array_equal(single, puf.respond(chal)[0])
 
 
 def test_multibit_hand_built_word():

@@ -177,6 +177,13 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError, match=f"line {data_start + 1}"):
         load_crps(tmp_path / "f.csv")
 
+    bad = lines.copy()
+    bad[data_start + 1] = "\u00c9F,1"
+    (tmp_path / "u.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError,
+                       match=f"line {data_start + 2}: non-ASCII byte 0xC3"):
+        load_crps(tmp_path / "u.csv")
+
 
 def test_load_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
