@@ -28,7 +28,6 @@ __all__ = [
     "train_logistic",
     "predict",
     "predict_bits",
-    "prediction_rate",
     "attack_dataset",
     "AttackReport",
 ]
@@ -163,9 +162,6 @@ class LrModel:
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
-    def predict(self, challenges):
-        return predict(self, challenges)
-
 
 def train_logistic(X, y, lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
                    l2: float = 0.0, tol: float = DEFAULT_TOL,
@@ -215,17 +211,6 @@ def predict_bits(weights, X) -> np.ndarray:
     """Hard 0/1 predictions on ready-made feature rows."""
     X = np.asarray(X, dtype=np.float64)
     return (X @ np.asarray(weights, dtype=np.float64) > 0).astype(np.uint8)
-
-
-def prediction_rate(actual, predicted) -> float:
-    """Fraction of predicted bits that match, e.g. 3 of 4 right -> 0.75."""
-    actual = np.asarray(actual)
-    predicted = np.asarray(predicted)
-    if actual.shape != predicted.shape:
-        raise ValueError("shape mismatch between actual and predicted bits")
-    if actual.size == 0:
-        raise ValueError("need at least one bit to score")
-    return float(np.mean(actual == predicted))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ import numpy as np
 from .attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL, AttackReport,
                      attack_dataset)
 from .bits import HexFormatError, format_hex_word
-from .core import (DelayParams, all_challenges, derive_seed, random_challenges,
-                   sample_chain, to_linear)
+from .core import (DelayParams, all_challenges, derive_seed,
+                   linear_disagreements, random_challenges, sample_chain,
+                   to_linear)
 from .crp import DatasetError, generate_crps, load_crps, save_crps
 from .features import FeatureKind
 from .metrics import evaluate_quality
@@ -103,13 +104,6 @@ def _fraction(text):
     value = _float(text)
     if not 0.0 < value < 1.0:
         raise ValueError("must be strictly between 0 and 1")
-    return value
-
-
-def _seed(text):
-    value = int(text)
-    if value < 0:
-        raise ValueError("seeds must be non-negative")
     return value
 
 
@@ -236,7 +230,7 @@ TRAIN_OPTS = (
 GENERATE_OPTS = (
     *BANK_OPTS,
     Opt("count", _pos_int, REQUIRED, "number of CRPs to draw"),
-    Opt("seed", _seed, None, "master seed; omit for a throwaway instance"),
+    Opt("seed", _nonneg_int, None, "master seed; omit for a throwaway instance"),
     *DELAY_OPTS,
     Opt("out", _path, REQUIRED, "output dataset path"),
 )
@@ -261,7 +255,7 @@ ATTACK_OPTS = (
     FEATURES_OPT,
     Opt("test", _fraction, 0.15, "held-out fraction of the rows"),
     *TRAIN_OPTS,
-    Opt("seed", _seed, None, "seed for the train/test split"),
+    Opt("seed", _nonneg_int, None, "seed for the train/test split"),
     Opt("out", _path, None, "also write the CSV report to this path"),
 )
 
@@ -293,7 +287,7 @@ SWEEP_OPTS = (
     Opt("fractions", _list_of(_fraction), (0.15, 0.25, 0.35),
         "comma list of held-out fractions"),
     FEATURES_OPT,
-    Opt("seed", _seed, None, "master seed for instance, data and splits"),
+    Opt("seed", _nonneg_int, None, "master seed for instance, data and splits"),
     *DELAY_OPTS,
     *TRAIN_OPTS,
     Opt("out", _path, None, "also write the CSV table to this path"),
@@ -343,7 +337,7 @@ METRICS_OPTS = (
     Opt("challenges", _pos_int, 1000, "challenges per instance"),
     Opt("repeats", _pos_int, 5, "noisy re-measurements per instance"),
     *DELAY_OPTS,
-    Opt("seed", _seed, None, "master seed for the study"),
+    Opt("seed", _nonneg_int, None, "master seed for the study"),
     Opt("out", _path, None, "also write the report to this path"),
 )
 
@@ -371,7 +365,7 @@ ORACLE_OPTS = (
     Opt("random-width", _pos_int, 64, "stage count for the randomised pass"),
     Opt("random-count", _nonneg_int, 1000,
         "random challenges in the randomised pass (0 disables)"),
-    Opt("seed", _seed, 0, "seed for sampled chains and challenges"),
+    Opt("seed", _nonneg_int, 0, "seed for sampled chains and challenges"),
 )
 
 
@@ -385,10 +379,9 @@ def cmd_oracle_check(ns) -> int:
         for idx in range(ns.chains):
             chain_seed = derive_seed(ns.seed, 0, n, idx)
             chain = sample_chain(n, seed=chain_seed)
-            model = to_linear(chain)
-            disagree = chain.respond(challenges) != model.respond(challenges)
-            bad += int(np.count_nonzero(disagree))
-            for c_idx in np.flatnonzero(disagree)[:3]:
+            disagree = linear_disagreements(chain, challenges, to_linear(chain))
+            bad += disagree.size
+            for c_idx in disagree[:3]:
                 print(f"mismatch: n={n} chain_seed={chain_seed} "
                       f"challenge={format_hex_word(challenges[c_idx])}")
         mismatches += bad
@@ -474,10 +467,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"puflab: error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, HexFormatError) as exc:
-        print(f"puflab: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DatasetError, HexFormatError, OSError) as exc:
         print(f"puflab: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

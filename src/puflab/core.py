@@ -88,6 +88,13 @@ def _as_batch(challenges, n: int):
     return bits.astype(np.uint8), single
 
 
+def _threshold(diff):
+    """Response bit(s) of delay difference(s): 1 where positive, 0 on a dead heat."""
+    if np.ndim(diff) == 0:
+        return int(diff > 0)
+    return (diff > 0).astype(np.uint8)
+
+
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
 
@@ -154,10 +161,7 @@ class ArbiterChain:
 
     def respond(self, challenges, noise_seed=None):
         """Response bit(s): 1 where the final difference is positive."""
-        diff = self.delta(challenges, noise_seed=noise_seed)
-        if np.ndim(diff) == 0:
-            return int(diff > 0)
-        return (diff > 0).astype(np.uint8)
+        return _threshold(self.delta(challenges, noise_seed=noise_seed))
 
     def __repr__(self):
         return (f"ArbiterChain(n_stages={self.n_stages}, "
@@ -256,10 +260,7 @@ class LinearModel:
         return diff[0] if single else diff
 
     def respond(self, challenges):
-        diff = self.delta(challenges)
-        if np.ndim(diff) == 0:
-            return int(diff > 0)
-        return (diff > 0).astype(np.uint8)
+        return _threshold(self.delta(challenges))
 
     def __repr__(self):
         return f"LinearModel(n_stages={self.n_stages})"
@@ -333,11 +334,12 @@ def random_challenges(m: int, n: int, seed=None) -> np.ndarray:
     return rng.integers(0, 2, size=(m, n), dtype=np.uint8)
 
 
-def linear_disagreements(chain: ArbiterChain, challenges, model=None) -> int:
-    """Count challenges where the race and its linear form disagree (expect 0)."""
+def linear_disagreements(chain: ArbiterChain, challenges, model=None) -> np.ndarray:
+    """Indices of the challenges where the race and its linear form disagree.
+
+    ``model`` defaults to ``to_linear(chain)``; the result should be empty.
+    """
     if model is None:
         model = to_linear(chain)
     bits, _ = _as_batch(challenges, chain.n_stages)
-    brute = chain.respond(bits)
-    lin = model.respond(bits)
-    return int(np.count_nonzero(brute != lin))
+    return np.flatnonzero(chain.respond(bits) != model.respond(bits))

@@ -10,8 +10,10 @@ On-disk format (``puf-crp v1``) is a plain text file::
     ...
 
 Hex words are uppercase, zero padded to ceil(bits / 4) digits, most
-significant bit first.  ``load_crps`` is strict and reports the first offending
-line; ``import_hex_rows`` is the lenient path for pulling in externally logged
+significant bit first; meta values are single lines of ASCII.
+``generate_crps`` draws a dataset from a seeded bank and ``save_crps`` writes
+it.  ``load_crps`` is strict and reports the first offending line;
+``import_hex_rows`` is the lenient path for pulling in externally logged
 tables (tab- or comma-separated, Verilog-style width prefixes allowed) and
 rejects malformed rows one by one instead of giving up.
 """
@@ -41,7 +43,7 @@ COLUMNS = "challenge_hex,response_hex"
 
 _SHAPE_RE = re.compile(r"^# challenge_bits=(\d+) response_bits=(\d+)$")
 _META_RE = re.compile(r"^# meta ([A-Za-z0-9_.-]+)=(.*)$")
-_META_KEY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_META_KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class DatasetError(ValueError):
@@ -78,11 +80,12 @@ class CrpSet:
         if challenges.shape[1] < 1 or responses.shape[1] < 1:
             raise ValueError("challenge and response words need at least one bit")
         meta = {} if meta is None else {str(k): str(v) for k, v in dict(meta).items()}
-        for key in meta:
-            if not _META_KEY_RE.match(key):
+        for key, value in meta.items():
+            if not _META_KEY_RE.fullmatch(key):
                 raise ValueError(f"bad meta key {key!r}")
-            if "\n" in meta[key]:
-                raise ValueError(f"meta value for {key!r} must be a single line")
+            # save_crps writes ASCII and load_crps splits with str.splitlines
+            if not value.isascii() or "".join(value.splitlines()) != value:
+                raise ValueError(f"meta value for {key!r} must be one line of ASCII")
         self._challenges = challenges
         self._responses = responses
         self._meta = meta
@@ -119,27 +122,6 @@ class CrpSet:
         idx = np.asarray(indices, dtype=np.int64)
         return CrpSet(self._challenges[idx], self._responses[idx], self._meta)
 
-    def save(self, path):
-        save_crps(path, self)
-
-
-def collect_crps(puf, count: int, challenge_seed=None, noise_seed=None,
-                 meta=None) -> CrpSet:
-    """Draw ``count`` uniform challenges and record the instance's responses.
-
-    ``puf`` is a single chain or a multi-bit bank; duplicates among the
-    challenges are permitted (sampling with replacement).  Noise is applied
-    only when ``noise_seed`` is given and the instance carries a nonzero
-    noise level.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    challenges = random_challenges(count, puf.n_stages, seed=challenge_seed)
-    responses = puf.respond(challenges, noise_seed=noise_seed)
-    if responses.ndim == 1:
-        responses = responses[:, None]
-    return CrpSet(challenges, responses, meta)
-
 
 def generate_crps(n: int, count: int, width: int = 1, seed=None,
                   params: DelayParams = None, noise_sigma: float = 0.0) -> CrpSet:
@@ -149,12 +131,17 @@ def generate_crps(n: int, count: int, width: int = 1, seed=None,
     challenge stream and (when ``noise_sigma`` > 0) the measurement noise use
     independent derived child seeds -- so the same arguments always rebuild a
     byte-identical dataset, and the recorded metadata is enough to regenerate
-    it.
+    it.  Challenges are drawn with replacement, so duplicates may occur.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if params is None:
         params = DelayParams()
     puf = sample_multibit(n, width, params=params, seed=derive_seed(seed, 0),
                           noise_sigma=noise_sigma)
+    challenges = random_challenges(count, n, seed=derive_seed(seed, 1))
+    noise_seed = derive_seed(seed, 2) if noise_sigma > 0 else None
+    responses = puf.respond(challenges, noise_seed=noise_seed)
     meta = {
         "generator": "arbiter-bank",
         "delay_mean": params.mean,
@@ -163,9 +150,7 @@ def generate_crps(n: int, count: int, width: int = 1, seed=None,
     }
     if seed is not None:
         meta["seed"] = seed
-    return collect_crps(puf, count, challenge_seed=derive_seed(seed, 1),
-                        noise_seed=derive_seed(seed, 2) if noise_sigma > 0 else None,
-                        meta=meta)
+    return CrpSet(challenges, responses, meta)
 
 
 def save_crps(path, crps: CrpSet):
@@ -229,10 +214,8 @@ def load_crps(path) -> CrpSet:
         except HexFormatError as exc:
             raise DatasetError(str(exc), line=lineno + 1) from exc
 
-    if not challenges:
-        return CrpSet(np.zeros((0, n_bits), np.uint8),
-                      np.zeros((0, r_bits), np.uint8), meta)
-    return CrpSet(np.array(challenges), np.array(responses), meta)
+    return CrpSet(np.array(challenges, dtype=np.uint8).reshape(-1, n_bits),
+                  np.array(responses, dtype=np.uint8).reshape(-1, r_bits), meta)
 
 
 def split_crps(crps: CrpSet, test_fraction: float, seed=None):
@@ -258,13 +241,16 @@ def import_hex_rows(source, challenge_bits: int, response_bits: int):
     challenge word and a response word separated by whitespace or a comma;
     challenge words may carry a Verilog-style width prefix (``64h9283c...``).
     Blank lines and ``#`` comments are skipped.  Malformed rows do not abort
-    the import: they are collected as ``(line_number, reason)`` pairs.
+    the import: they are collected as ``(line_number, reason)`` pairs.  A file
+    is read as bytes and a non-ASCII byte decodes to U+FFFD, so only its row
+    is rejected.
 
     Returns ``(crps, rejected)`` where ``crps`` covers the well-formed rows.
     """
     if hasattr(source, "__fspath__") or isinstance(source, str):
-        with open(os.fspath(source), "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(os.fspath(source), "rb") as fh:
+            lines = [line.decode("ascii", "replace")
+                     for line in fh.read().splitlines()]
     else:
         lines = [str(line).rstrip("\n") for line in source]
 
@@ -286,9 +272,6 @@ def import_hex_rows(source, challenge_bits: int, response_bits: int):
         challenges.append(chal)
         responses.append(resp)
 
-    if challenges:
-        crps = CrpSet(np.array(challenges), np.array(responses))
-    else:
-        crps = CrpSet(np.zeros((0, challenge_bits), np.uint8),
-                      np.zeros((0, response_bits), np.uint8))
+    crps = CrpSet(np.array(challenges, dtype=np.uint8).reshape(-1, challenge_bits),
+                  np.array(responses, dtype=np.uint8).reshape(-1, response_bits))
     return crps, rejected

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["FeatureKind", "feature_matrix", "phi", "raw"]
+__all__ = ["FeatureKind", "feature_matrix"]
 
 
 class FeatureKind(str, Enum):
@@ -42,12 +42,3 @@ def feature_matrix(challenges, kind: FeatureKind = FeatureKind.PARITY) -> np.nda
     bias = np.ones((bits.shape[0], 1))
     return np.hstack([feats, bias])
 
-
-def phi(challenge) -> np.ndarray:
-    """Parity feature vector of a single challenge, length n+1, last entry +1."""
-    return feature_matrix(challenge, FeatureKind.PARITY)[0]
-
-
-def raw(challenge) -> np.ndarray:
-    """Raw +/-1 feature vector of a single challenge, length n+1, last entry +1."""
-    return feature_matrix(challenge, FeatureKind.RAW)[0]

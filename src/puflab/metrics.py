@@ -41,7 +41,7 @@ def _bits(values, name, min_dim, max_dim):
                          "bit array")
     if arr.min() < 0 or arr.max() > 1:
         raise ValueError(f"{name} bits must be 0 or 1")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
 
 
 def uniformity(responses) -> float:
@@ -137,17 +137,14 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("a noisy reliability study needs at least two repeats")
     chal = random_challenges(challenges, n, seed=derive_seed(seed, 1))
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
-    flips = 0.0
+    noisy = np.empty((repeats, instances, challenges, width), dtype=np.uint8)
     for i in range(instances):
         puf = sample_multibit(n, width, params=params,
                               seed=derive_seed(seed, 0, i),
                               noise_sigma=noise_sigma)
-        ref = puf.respond(chal)
-        stack[i] = ref
+        stack[i] = puf.respond(chal)
         for t in range(repeats):
-            noisy = puf.respond(chal, noise_seed=derive_seed(seed, 2, i, t))
-            flips += np.mean(noisy != ref)
-    rel = 1.0 - flips / (instances * repeats)
+            noisy[t, i] = puf.respond(chal, noise_seed=derive_seed(seed, 2, i, t))
     return QualityReport(
         n_stages=n,
         width=width,
@@ -158,6 +155,6 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         seed=seed,
         uniformity=uniformity(stack.reshape(instances, -1)),
         uniqueness=uniqueness(stack),
-        reliability=float(rel),
+        reliability=reliability(stack.reshape(-1), noisy.reshape(repeats, -1)),
         bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)),
     )

@@ -38,12 +38,12 @@ def test_criterion_1_race_equals_linear_model():
         chal = all_challenges(n)
         for idx in range(100):
             chain = sample_chain(n, seed=derive_seed(101, n, idx))
-            bad += linear_disagreements(chain, chal)
+            bad += len(linear_disagreements(chain, chal))
             pairs += len(chal)
     chal64 = random_challenges(10_000, 64, seed=derive_seed(101, 64))
     for idx in range(100):
         chain = sample_chain(64, seed=derive_seed(101, 64, idx))
-        bad += linear_disagreements(chain, chal64)
+        bad += len(linear_disagreements(chain, chal64))
         pairs += len(chal64)
     elapsed = time.perf_counter() - t0
     _verdict("criterion 1", bad == 0 and elapsed < 20.0,

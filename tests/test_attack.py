@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from puflab.attack import (AttackReport, LrModel, attack_dataset, cross_entropy,
-                           gradient, predict, predict_bits, prediction_rate,
-                           sigmoid, train_logistic)
+                           gradient, predict, predict_bits, sigmoid,
+                           train_logistic)
 from puflab.core import all_challenges, random_challenges, sample_chain, to_linear
 from puflab.crp import generate_crps, split_crps
 from puflab.features import feature_matrix
@@ -187,9 +187,9 @@ def test_predict_zero_model_is_coin_at_zero():
     model = LrModel(theta=np.zeros(5), feature_map="parity", n_bits=4,
                     epochs_run=0, final_loss=np.log(2.0),
                     loss_history=(np.log(2.0),))
-    bit, prob = model.predict([1, 0, 1, 1])
+    bit, prob = predict(model, [1, 0, 1, 1])
     assert bit == 0 and prob == 0.5
-    bits, probs = model.predict(all_challenges(4))
+    bits, probs = predict(model, all_challenges(4))
     assert bits.shape == (16,) and np.all(bits == 0)
     assert np.all(probs == 0.5)
 
@@ -200,7 +200,7 @@ def test_predict_consistent_with_linear_form():
     model = LrModel(theta=w, feature_map="parity", n_bits=8, epochs_run=0,
                     final_loss=0.0, loss_history=(0.0,))
     chal = all_challenges(8)
-    bits, probs = model.predict(chal)
+    bits, probs = predict(model, chal)
     assert np.array_equal(bits, chain.respond(chal))
     z = feature_matrix(chal) @ w
     np.testing.assert_allclose(probs, sigmoid(z))
@@ -223,16 +223,6 @@ def test_positive_scaling_keeps_predictions():
     for s in (0.001, 3.7, 1000.0):
         assert np.array_equal(predict_bits(s * w, X), base)
     assert not np.array_equal(predict_bits(-w, X), base)
-
-
-def test_prediction_rate():
-    assert prediction_rate([1, 0, 1, 1], [1, 0, 0, 1]) == 0.75
-    assert prediction_rate([1, 0], [1, 0]) == 1.0
-    assert prediction_rate([[1, 0], [0, 1]], [[1, 1], [0, 1]]) == 0.75
-    with pytest.raises(ValueError):
-        prediction_rate([1, 0], [1])
-    with pytest.raises(ValueError):
-        prediction_rate([], [])
 
 
 # ---------------------------------------------------------------------------

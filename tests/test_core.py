@@ -148,17 +148,32 @@ def test_linear_equivalence_exhaustive_small_n():
     for n in range(1, 9):
         for idx in range(5):
             chain = sample_chain(n, seed=derive_seed(300, n, idx))
-            assert linear_disagreements(chain, all_challenges(n)) == 0
+            assert linear_disagreements(chain, all_challenges(n)).size == 0
 
 
 def test_linear_equivalence_random_wide():
     chain = sample_chain(64, seed=64)
     chal = random_challenges(2000, 64, seed=65)
-    assert linear_disagreements(chain, chal) == 0
+    assert linear_disagreements(chain, chal).size == 0
     model = to_linear(chain)
     assert np.array_equal(model.respond(chal), chain.respond(chal))
     assert np.array_equal(LinearModel(model.weights).respond(chal),
                           chain.respond(chal))
+
+
+def test_linear_disagreements_names_the_corrupted_challenges():
+    chain = sample_chain(6, seed=8)
+    chal = all_challenges(6)
+    w = to_linear(chain).weights
+    assert np.array_equal(linear_disagreements(chain, chal, LinearModel(-w)),
+                          np.arange(64))
+    # raising the bias weight by 1 flips exactly the races ending in (-1, 0]
+    delta = chain.delta(chal)
+    expected = np.flatnonzero((delta > -1.0) & (delta <= 0.0))
+    assert 0 < expected.size < 64
+    raised = LinearModel(w + np.eye(7)[6])
+    assert np.array_equal(linear_disagreements(chain, chal, raised), expected)
+    assert linear_disagreements(chain, chal).size == 0
 
 
 def test_stage_local_shifts_cancel():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from puflab.bits import format_hex_word
-from puflab.core import ArbiterChain, random_challenges, sample_multibit
-from puflab.crp import (CrpSet, DatasetError, collect_crps, generate_crps,
-                        import_hex_rows, load_crps, save_crps, split_crps)
+from puflab.core import derive_seed, random_challenges, sample_multibit
+from puflab.crp import (CrpSet, DatasetError, generate_crps, import_hex_rows,
+                        load_crps, save_crps, split_crps)
 
 # Ten logged rows as they came off an external capture: tab separated,
 # Verilog-prefixed 64-bit challenges, 64-bit responses.  Four of the response
@@ -54,7 +54,13 @@ def test_crpset_validation():
     with pytest.raises(ValueError):
         CrpSet([[0]], [[1]], {"bad key!": 1})
     with pytest.raises(ValueError):
-        CrpSet([[0]], [[1]], {"note": "two\nlines"})
+        CrpSet([[0]], [[1]], {"seed\n": 1})       # key that ends a line
+    # a value must come back from save_crps/load_crps as written: one line
+    # by str.splitlines, all ASCII
+    for value in ("two\nlines", "cr\rlf", "fs\x1csep", "ff\x0c", "tail\n",
+                  "caf\u00e9", "\u2028"):
+        with pytest.raises(ValueError, match="one line of ASCII"):
+            CrpSet([[0]], [[1]], {"note": value})
     with pytest.raises(ValueError):
         CrpSet([0, 1], [[1]])                      # 1-D challenges
 
@@ -83,14 +89,10 @@ def test_generate_shapes_and_validation():
         generate_crps(8, 0, seed=1)
 
 
-def test_collect_from_single_chain_and_bank():
-    chain = ArbiterChain([[1.0, 2.0, 0.0, 0.0]])
-    crps = collect_crps(chain, 10, challenge_seed=4)
-    assert crps.responses.shape == (10, 1)
-    bank = sample_multibit(6, width=4, seed=2)
-    crps = collect_crps(bank, 10, challenge_seed=4, meta={"tag": "x"})
+def test_generate_answers_with_the_seeded_bank():
+    crps = generate_crps(6, 10, width=4, seed=2)
     assert crps.responses.shape == (10, 4)
-    assert crps.meta == {"tag": "x"}
+    bank = sample_multibit(6, 4, seed=derive_seed(2, 0))
     assert np.array_equal(crps.responses, bank.respond(crps.challenges))
 
 
@@ -117,7 +119,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_saved_file_layout(tmp_path):
     crps = CrpSet([[1, 0, 1, 0]], [[1, 1]], {"seed": 5, "alpha": "z"})
     path = tmp_path / "ds.csv"
-    crps.save(path)
+    save_crps(path, crps)
     lines = path.read_text().splitlines()
     assert lines[0] == "# puf-crp v1"
     assert lines[1] == "# challenge_bits=4 response_bits=2"
@@ -256,6 +258,17 @@ def test_import_from_file(tmp_path):
     crps, rejected = import_hex_rows(path, 64, 64)
     assert [line for line, _ in rejected] == list(BAD_LINES)
     assert len(crps) == 6
+
+
+def test_import_from_file_rejects_only_the_non_ascii_row(tmp_path):
+    path = tmp_path / "logged.txt"
+    path.write_text("# captured at 20\u00b0C\n0,1\n\u00c9F,1\n3,0\n",
+                    encoding="utf-8")
+    crps, rejected = import_hex_rows(path, 8, 1)
+    assert [line for line, _ in rejected] == [3]
+    assert "invalid hex character" in rejected[0][1]
+    assert crps.challenges.tolist() == [[0] * 8, [0] * 6 + [1, 1]]
+    assert crps.responses.tolist() == [[1], [0]]
 
 
 def test_import_skips_comments_and_blanks():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from puflab.features import FeatureKind, feature_matrix, phi, raw
+from puflab.features import FeatureKind, feature_matrix
 
 
 def test_kind_accepts_strings():
@@ -15,17 +15,17 @@ def test_kind_accepts_strings():
 
 
 def test_phi_hand_values():
-    assert phi([0, 0, 0, 0]).tolist() == [1, 1, 1, 1, 1]
+    assert feature_matrix([0, 0, 0, 0], "parity")[0].tolist() == [1, 1, 1, 1, 1]
     # signs (-1, 1): suffix products are -1*1 and 1
-    assert phi([1, 0]).tolist() == [-1, 1, 1]
-    assert phi([1, 1]).tolist() == [1, -1, 1]
-    assert phi([0, 1]).tolist() == [-1, -1, 1]
+    assert feature_matrix([1, 0], "parity")[0].tolist() == [-1, 1, 1]
+    assert feature_matrix([1, 1], "parity")[0].tolist() == [1, -1, 1]
+    assert feature_matrix([0, 1], "parity")[0].tolist() == [-1, -1, 1]
 
 
 def test_raw_hand_values():
-    assert raw([1, 1, 1, 1]).tolist() == [-1, -1, -1, -1, 1]
-    assert raw([1, 0]).tolist() == [-1, 1, 1]
-    assert raw([0]).tolist() == [1, 1]
+    assert feature_matrix([1, 1, 1, 1], "raw")[0].tolist() == [-1, -1, -1, -1, 1]
+    assert feature_matrix([1, 0], "raw")[0].tolist() == [-1, 1, 1]
+    assert feature_matrix([0], "raw")[0].tolist() == [1, 1]
 
 
 def test_shapes_and_dtype():
@@ -45,8 +45,8 @@ def test_batch_matches_single_rows():
     par = feature_matrix(bits, "parity")
     rw = feature_matrix(bits, "raw")
     for i in range(20):
-        assert np.array_equal(par[i], phi(bits[i]))
-        assert np.array_equal(rw[i], raw(bits[i]))
+        assert np.array_equal(par[i], feature_matrix(bits[i], "parity")[0])
+        assert np.array_equal(rw[i], feature_matrix(bits[i], "raw")[0])
 
 
 def test_flipping_one_bit():
@@ -56,8 +56,8 @@ def test_flipping_one_bit():
     for j in range(10):
         flipped = c.copy()
         flipped[j] ^= 1
-        dr = raw(flipped) / raw(c)
-        dp = phi(flipped) / phi(c)
+        dr = feature_matrix(flipped, "raw")[0] / feature_matrix(c, "raw")[0]
+        dp = feature_matrix(flipped, "parity")[0] / feature_matrix(c, "parity")[0]
         assert dr[j] == -1 and np.sum(dr == -1) == 1
         assert np.all(dp[:j + 1] == -1) and np.all(dp[j + 1:] == 1)
 
