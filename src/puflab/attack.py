@@ -6,9 +6,11 @@ binary problems; they are trained side by side as the columns of one weight
 matrix so every epoch costs two matrix products, and a column freezes on its
 own as soon as an epoch stops improving its loss.
 
-The sigmoid and the loss are evaluated in overflow-safe forms, the analytic
-gradient is exposed separately so it can be checked against finite
-differences, and every fit records its loss trajectory.
+The sigmoid and the loss are evaluated in overflow-safe forms built on one
+shared ``e = exp(-|z|)``, so an epoch takes a single ``exp`` and uses it for
+both the loss and the gradient.  The analytic gradient is exposed separately
+so it can be checked against finite differences, and every fit records its
+loss trajectory.
 """
 
 from __future__ import annotations
@@ -37,14 +39,21 @@ DEFAULT_EPOCHS = 500
 DEFAULT_TOL = 1e-7
 
 
+def _sigmoid(z, e):
+    """Logistic function of z given e = exp(-|z|): 1/(1+e) where z >= 0, else e/(1+e)."""
+    # e <= 1, so the numerator max(e, z >= 0) is 1 exactly where z >= 0
+    return np.maximum(e, z >= 0) / (1.0 + e)
+
+
+def _softplus(z, e):
+    """log(1 + exp(z)) given e = exp(-|z|), in the form that never overflows."""
+    return np.maximum(z, 0.0) + np.log1p(e)
+
+
 def sigmoid(z):
     """Numerically stable logistic function, exact at 0 and safe at |z| ~ 1000."""
     z = np.asarray(z, dtype=np.float64)
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each branch
-    # is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)) without masked copies
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)[()]
+    return _sigmoid(z, np.exp(-np.abs(z)))[()]
 
 
 def _check_xy(X, y, binary=False):
@@ -66,13 +75,13 @@ def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
 
     The optional ridge term penalises every weight except the bias (last
     entry) and is scaled by 1 / rows like the data term.  Computed as
-    logaddexp(0, z) - y * z, which never overflows.
+    softplus(z) - y * z, which never overflows.
     """
     X, y = _check_xy(X, y)
     weights = np.asarray(weights, dtype=np.float64)
     z = X @ weights
     m = X.shape[0]
-    loss = np.mean(np.logaddexp(0.0, z) - y * z, axis=0)
+    loss = np.mean(_softplus(z, np.exp(-np.abs(z))) - y * z, axis=0)
     if l2:
         loss = loss + 0.5 * l2 * np.sum(weights[:-1] ** 2, axis=0) / m
     return float(loss) if np.ndim(loss) == 0 else loss
@@ -97,24 +106,24 @@ def _descend(X, Y, lr, epochs, l2, tol):
     is the loss of the zero vector and frozen columns carry their last value
     forward, so every column's trace is the full loss trajectory of its own
     independent descent.
+
+    The active columns' weights ``Ta`` and labels ``Ya`` are contiguous blocks,
+    compacted only on an epoch where a column stalls.
     """
     if lr <= 0 or epochs < 1 or tol < 0:
         raise ValueError("need lr > 0, epochs >= 1, tol >= 0")
     m, d = X.shape
     k = Y.shape[1]
     theta = np.zeros((d, k))
-    active = np.ones(k, dtype=bool)
     updates = np.zeros(k, dtype=np.int64)
     prev = np.full(k, np.inf)
     history = []
+    cols = np.arange(k)
+    Ta, Ya = theta[:, cols], Y[:, cols]
     for _ in range(epochs):
-        cols = np.flatnonzero(active)
-        if cols.size == 0:
-            break
-        Ta = theta[:, cols]
-        Ya = Y[:, cols]
         Z = X @ Ta
-        cur = np.mean(np.logaddexp(0.0, Z) - Ya * Z, axis=0)
+        E = np.exp(-np.abs(Z))
+        cur = np.mean(_softplus(Z, E) - Ya * Z, axis=0)
         if l2:
             cur = cur + 0.5 * l2 * np.sum(Ta[:-1] ** 2, axis=0) / m
         row = prev.copy()
@@ -123,16 +132,18 @@ def _descend(X, Y, lr, epochs, l2, tol):
         stalled = (prev[cols] - cur) < tol
         prev[cols] = cur
         if stalled.any():
-            active[cols[stalled]] = False
+            theta[:, cols[stalled]] = Ta[:, stalled]
             keep = ~stalled
-            cols, Ta, Ya, Z = cols[keep], Ta[:, keep], Ya[:, keep], Z[:, keep]
+            cols, Ta, Ya = cols[keep], Ta[:, keep], Ya[:, keep]
+            Z, E = Z[:, keep], E[:, keep]
             if cols.size == 0:
                 break
-        G = X.T @ (sigmoid(Z) - Ya) / m
+        G = X.T @ (_sigmoid(Z, E) - Ya) / m
         if l2:
             G[:-1] += l2 * Ta[:-1] / m
-        theta[:, cols] = Ta - lr * G
+        Ta -= lr * G
         updates[cols] += 1
+    theta[:, cols] = Ta
     final = cross_entropy(theta, X, Y, l2=l2)
     history.append(np.atleast_1d(np.asarray(final, dtype=np.float64)))
     return theta, updates, np.vstack(history)
@@ -215,7 +226,11 @@ def predict_bits(weights, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Outcome of one train/test attack run."""
+    """Outcome of one train/test attack run.
+
+    Per bit, ``epochs_run`` counts its updates (``epochs`` at the cap, fewer
+    when it stalled) and ``final_loss`` is its train loss at the end.
+    """
 
     crp_count: int
     test_fraction: float
@@ -224,6 +239,8 @@ class AttackReport:
     mean_rate: float
     word_exact_rate: float
     seed: object = None
+    epochs_run: tuple = ()
+    final_loss: tuple = ()
 
     CSV_HEADER = "crps,test_fraction,feature_map,mean_rate,word_exact_rate"
 
@@ -248,8 +265,8 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
     train, test = split_crps(crps, test_fraction, seed=seed)
     X_train = feature_matrix(train.challenges, feature)
     X_test = feature_matrix(test.challenges, feature)
-    theta, _, _ = _descend(X_train, train.responses.astype(np.float64),
-                           lr, epochs, l2, tol)
+    theta, updates, history = _descend(X_train, train.responses.astype(np.float64),
+                                       lr, epochs, l2, tol)
     predicted = predict_bits(theta, X_test)
     actual = test.responses
     per_bit = np.mean(predicted == actual, axis=0)
@@ -262,4 +279,6 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
         mean_rate=float(per_bit.mean()),
         word_exact_rate=float(word_exact),
         seed=seed,
+        epochs_run=tuple(int(u) for u in updates),
+        final_loss=tuple(float(v) for v in history[-1]),
     )

@@ -83,7 +83,7 @@ class CrpSet:
         for key, value in meta.items():
             if not _META_KEY_RE.fullmatch(key):
                 raise ValueError(f"bad meta key {key!r}")
-            # save_crps writes ASCII and load_crps splits with str.splitlines
+            # save_crps writes ASCII and load_crps reads one value per line
             if not value.isascii() or "".join(value.splitlines()) != value:
                 raise ValueError(f"meta value for {key!r} must be one line of ASCII")
         self._challenges = challenges
@@ -170,13 +170,15 @@ def save_crps(path, crps: CrpSet):
 
 def load_crps(path) -> CrpSet:
     """Read a puf-crp v1 file; any malformed line raises with its line number."""
+    # bytes.splitlines breaks only on \n, \r\n and \r: every line number
+    # below, the non-ASCII one included, counts lines of this one split
     with open(os.fspath(path), "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"non-ASCII byte 0x{data[exc.start]:02X}",
-                           line=data.count(b"\n", 0, exc.start) + 1) from None
+        rows = fh.read().splitlines()
+    bad = next((i for i, row in enumerate(rows) if not row.isascii()), None)
+    if bad is not None:
+        byte = next(b for b in rows[bad] if b > 0x7F)
+        raise DatasetError(f"non-ASCII byte 0x{byte:02X}", line=bad + 1)
+    lines = [row.decode("ascii") for row in rows]
     if not lines or lines[0] != MAGIC:
         raise DatasetError(f"expected header {MAGIC!r}", line=1)
     if len(lines) < 2 or not (shape := _SHAPE_RE.match(lines[1])):

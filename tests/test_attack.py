@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from puflab.attack import (AttackReport, LrModel, attack_dataset, cross_entropy,
-                           gradient, predict, predict_bits, sigmoid,
-                           train_logistic)
+from puflab.attack import (AttackReport, LrModel, _descend, attack_dataset,
+                           cross_entropy, gradient, predict, predict_bits,
+                           sigmoid, train_logistic)
 from puflab.core import all_challenges, random_challenges, sample_chain, to_linear
 from puflab.crp import generate_crps, split_crps
 from puflab.features import feature_matrix
@@ -29,6 +29,31 @@ def test_sigmoid_saturates_without_overflow():
     assert hi == 1.0 and lo == 0.0
     assert np.all((arr >= 0.0) & (arr <= 1.0))
     assert np.all(np.diff(arr) >= 0)
+
+
+def _two_branch_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_is_bitwise_the_two_branch_form():
+    rng = np.random.default_rng(71)
+    edges = [0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan,
+             740.0, -740.0, 745.0, -745.0, 708.4, -708.4, 5e-324, -5e-324]
+    z = np.concatenate([rng.normal(scale=20.0, size=4000),
+                        rng.uniform(-750.0, 750.0, size=4000),
+                        np.linspace(-745.5, -735.0, 1001), edges])
+    with np.errstate(invalid="ignore"):
+        got = sigmoid(z)
+        want = _two_branch_sigmoid(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        ends = sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert ends[0] == 1.0 and ends[1] == 0.0 and np.isnan(ends[2])
+    # exp(-740) is subnormal: the tail is e itself, down to the last bit
+    tail = sigmoid(np.array([-740.0, -745.0]))
+    assert np.array_equal(tail, np.exp([-740.0, -745.0]))
+    assert 0.0 < tail[0] < np.finfo(np.float64).tiny
 
 
 def test_sigmoid_shapes():
@@ -69,6 +94,18 @@ def test_loss_multicolumn_matches_percolumn():
     assert losses.shape == (3,)
     for j in range(3):
         assert losses[j] == pytest.approx(cross_entropy(W[:, j], X, Y[:, j]))
+
+
+def test_loss_matches_logaddexp_form():
+    rng = np.random.default_rng(72)
+    X = feature_matrix(rng.integers(0, 2, size=(300, 12)))
+    Y = rng.integers(0, 2, size=(300, 5)).astype(float)
+    for scale in (0.01, 1.0, 30.0, 400.0):
+        W = rng.normal(scale=scale, size=(13, 5))
+        z = X @ W
+        want = np.mean(np.logaddexp(0.0, z) - Y * z, axis=0)
+        np.testing.assert_allclose(cross_entropy(W, X, Y), want,
+                                   rtol=1e-15, atol=1e-15)
 
 
 def test_gradient_at_zero_weights():
@@ -179,6 +216,71 @@ def test_lrmodel_validation():
         model.theta[0] = 1.0
 
 
+def _reference_descend(X, Y, lr, epochs, l2, tol):
+    """The batched descent in its plain form: a logaddexp loss, the two-branch
+    sigmoid and fresh copies of the active columns on every epoch."""
+    m, d = X.shape
+    k = Y.shape[1]
+    theta = np.zeros((d, k))
+    active = np.ones(k, dtype=bool)
+    updates = np.zeros(k, dtype=np.int64)
+    prev = np.full(k, np.inf)
+    history = []
+    for _ in range(epochs):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        Ta = theta[:, cols]
+        Ya = Y[:, cols]
+        Z = X @ Ta
+        cur = np.mean(np.logaddexp(0.0, Z) - Ya * Z, axis=0)
+        if l2:
+            cur = cur + 0.5 * l2 * np.sum(Ta[:-1] ** 2, axis=0) / m
+        row = prev.copy()
+        row[cols] = cur
+        history.append(row)
+        stalled = (prev[cols] - cur) < tol
+        prev[cols] = cur
+        if stalled.any():
+            active[cols[stalled]] = False
+            keep = ~stalled
+            cols, Ta, Ya, Z = cols[keep], Ta[:, keep], Ya[:, keep], Z[:, keep]
+            if cols.size == 0:
+                break
+        G = X.T @ (_two_branch_sigmoid(Z) - Ya) / m
+        if l2:
+            G[:-1] += l2 * Ta[:-1] / m
+        theta[:, cols] = Ta - lr * G
+        updates[cols] += 1
+    z = X @ theta
+    final = np.mean(np.logaddexp(0.0, z) - Y * z, axis=0)
+    if l2:
+        final = final + 0.5 * l2 * np.sum(theta[:-1] ** 2, axis=0) / m
+    history.append(final)
+    return theta, updates, np.vstack(history)
+
+
+@pytest.mark.parametrize("kind,l2,tol,epochs", [
+    ("parity", 0.0, 3e-4, 400),
+    ("parity", 0.5, 1e-3, 400),
+    ("raw", 0.0, 1e-5, 200),
+    ("raw", 0.5, 2e-5, 400),
+])
+def test_descend_matches_reference_bit_for_bit(kind, l2, tol, epochs):
+    crps = generate_crps(16, 300, width=6, seed=12)
+    X = feature_matrix(crps.challenges, kind)
+    Y = crps.responses.astype(float)
+    theta, updates, history = _descend(X, Y, 0.1, epochs, l2, tol)
+    ref_theta, ref_updates, ref_history = _reference_descend(X, Y, 0.1, epochs,
+                                                             l2, tol)
+    # columns stall at several different epochs, so compaction is exercised
+    assert len(set(updates.tolist())) >= 3
+    assert np.array_equal(updates, ref_updates)
+    assert np.array_equal(theta, ref_theta)
+    assert history.shape == ref_history.shape
+    np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -270,6 +372,21 @@ def test_attack_matches_per_bit_training():
         model = train_logistic(Xtr, train.responses[:, j].astype(float))
         rate = np.mean(predict_bits(model.theta, Xte) == test.responses[:, j])
         assert rate == pytest.approx(report.per_bit_rate[j], abs=0.01)
+
+
+def test_attack_report_says_how_each_bit_ended():
+    crps = generate_crps(32, 400, width=3, seed=6)
+    lazy = attack_dataset(crps, test_fraction=0.25, tol=10.0, seed=8)
+    assert lazy.epochs_run == (1, 1, 1)
+    assert len(lazy.final_loss) == 3
+    assert all(0.0 < v < np.log(2.0) for v in lazy.final_loss)
+    # the attack-word size: every bit of a 64-bit word runs to the epoch cap
+    word = generate_crps(64, 750, width=64, seed=501)
+    report = attack_dataset(word, test_fraction=0.25, seed=501)
+    assert report.epochs_run == (500,) * 64
+    assert len(report.final_loss) == 64
+    assert max(report.final_loss) < np.log(2.0)
+    assert report.csv_row().count(",") == 4
 
 
 def test_attack_raw_features_on_bank_stay_near_chance():

@@ -186,6 +186,25 @@ def test_load_reports_offending_line(tmp_path):
                        match=f"line {data_start + 2}: non-ASCII byte 0xC3"):
         load_crps(tmp_path / "u.csv")
 
+    # rows and the non-ASCII line number come from one split of the bytes
+    head = [b"# puf-crp v1", b"# challenge_bits=8 response_bits=1",
+            b"challenge_hex,response_hex"]
+    (tmp_path / "cr.csv").write_bytes(
+        b"\r".join(head + [b"A5,1", b"\xC9F,0", b"3C,1"]) + b"\r")
+    with pytest.raises(DatasetError, match="line 5: non-ASCII byte 0xC9"):
+        load_crps(tmp_path / "cr.csv")
+
+    # a form feed is not a line break: strip() drops it from line 4, and the
+    # bad row on line 5 is still reported as line 5
+    (tmp_path / "ff.csv").write_bytes(
+        b"\n".join(head + [b"A5,1\x0c", b"ZZ,0"]) + b"\n")
+    with pytest.raises(DatasetError, match="line 5: "):
+        load_crps(tmp_path / "ff.csv")
+    (tmp_path / "ff_ok.csv").write_bytes(
+        b"\n".join(head + [b"A5,1\x0c", b"3C,0"]) + b"\n")
+    assert load_crps(tmp_path / "ff_ok.csv").challenges.tolist() == [
+        [1, 0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1, 0, 0]]
+
 
 def test_load_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
