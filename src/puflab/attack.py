@@ -108,7 +108,9 @@ def _descend(X, Y, lr, epochs, l2, tol):
     independent descent.
 
     The active columns' weights ``Ta`` and labels ``Ya`` are contiguous blocks,
-    compacted only on an epoch where a column stalls.
+    compacted only on an epoch where a column stalls.  Every matrix product
+    is a fresh one of the active block, since BLAS results can depend on the
+    column count and the output buffer.
     """
     if lr <= 0 or epochs < 1 or tol < 0:
         raise ValueError("need lr > 0, epochs >= 1, tol >= 0")

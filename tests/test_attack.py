@@ -43,12 +43,8 @@ def test_sigmoid_is_bitwise_the_two_branch_form():
     z = np.concatenate([rng.normal(scale=20.0, size=4000),
                         rng.uniform(-750.0, 750.0, size=4000),
                         np.linspace(-745.5, -735.0, 1001), edges])
-    with np.errstate(invalid="ignore"):
-        got = sigmoid(z)
-        want = _two_branch_sigmoid(z)
-    assert np.array_equal(got, want, equal_nan=True)
-    with np.errstate(invalid="ignore"):
-        ends = sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert np.array_equal(sigmoid(z), _two_branch_sigmoid(z), equal_nan=True)
+    ends = sigmoid(np.array([np.inf, -np.inf, np.nan]))
     assert ends[0] == 1.0 and ends[1] == 0.0 and np.isnan(ends[2])
     # exp(-740) is subnormal: the tail is e itself, down to the last bit
     tail = sigmoid(np.array([-740.0, -745.0]))
@@ -386,7 +382,6 @@ def test_attack_report_says_how_each_bit_ended():
     assert report.epochs_run == (500,) * 64
     assert len(report.final_loss) == 64
     assert max(report.final_loss) < np.log(2.0)
-    assert report.csv_row().count(",") == 4
 
 
 def test_attack_raw_features_on_bank_stay_near_chance():
