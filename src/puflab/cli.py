@@ -132,12 +132,17 @@ def _list_of(parse):
 
 def _read_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw_lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     config = {}
+    # bytes.splitlines breaks only on \n, \r and \r\n, as an editor numbers lines
     for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}:{lineno}: not UTF-8") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -272,6 +277,9 @@ def cmd_attack(ns) -> int:
     if len(report.per_bit_rate) > 1:
         print(f"per-bit rate: min {min(report.per_bit_rate):.4f} "
               f"max {max(report.per_bit_rate):.4f}")
+    capped = report.epochs_run.count(ns.epochs)
+    print(f"epochs: {capped}/{len(report.epochs_run)} bits at the "
+          f"{ns.epochs}-epoch cap; {len(report.epochs_run) - capped} stalled")
     if ns.out:
         _write_text(ns.out, lines)
     return 0

@@ -18,7 +18,10 @@ A multi-bit instance is a bank of independent chains sharing one challenge,
 one response bit per chain.  The bank folds its chains once, when it is
 built, and responds through the folded weights; ``ArbiterChain.delta`` keeps
 the stage-by-stage race as the reference oracle that the fold is checked
-against.
+against.  ``MultiBitPuf.delta`` gives the bank's noise-free differences and
+``MultiBitPuf.noise`` the per-chain disturbances of one noisy read-out, with
+``respond(c, s) == (delta(c) + noise(len(c), s) > 0)``, so a caller that reads
+one bank under many noise seeds can compute the delay products once.
 """
 
 from __future__ import annotations
@@ -209,6 +212,36 @@ class MultiBitPuf:
     def seed(self):
         return self._seed
 
+    def _streams(self, noise_seed):
+        """(k, sigma, rng) for every noisy chain; chain k draws from
+        ``derive_seed(noise_seed, k)``.  None gives no streams."""
+        if noise_seed is None:
+            return []
+        return [(k, sigma, np.random.default_rng(derive_seed(noise_seed, k)))
+                for k, sigma in self._noise]
+
+    def delta(self, challenges) -> np.ndarray:
+        """Noise-free delay differences, shape (m, width); a single challenge
+        gives (width,).  Column k agrees with ``chains[k].delta(c)`` up to
+        rounding, and ``delta(c) > 0`` is ``respond(c)``."""
+        bits, single = _as_batch(challenges, self.n_stages)
+        out = np.empty((bits.shape[0], self.width))
+        for start in range(0, bits.shape[0], BLOCK_ROWS):
+            block = bits[start:start + BLOCK_ROWS]
+            out[start:start + BLOCK_ROWS] = (feature_matrix(block, "parity")
+                                             @ self._weights)
+        return out[0] if single else out
+
+    def noise(self, m: int, noise_seed) -> np.ndarray:
+        """The (m, width) disturbances ``respond`` adds to m rows under
+        ``noise_seed``: column k is chain k's sigma times its stream's first m
+        standard normals, and 0 for a quiet chain (or for ``noise_seed=None``),
+        so ``respond(c, s)`` is ``delta(c) + noise(len(c), s) > 0``."""
+        out = np.zeros((m, self.width))
+        for k, sigma, rng in self._streams(noise_seed):
+            out[:, k] = sigma * rng.standard_normal(m)
+        return out
+
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
         """Response words, shape (m, width); a single challenge gives (width,).
 
@@ -217,9 +250,7 @@ class MultiBitPuf:
         and bit k matches ``chains[k].respond(c, derive_seed(noise_seed, k))``.
         """
         bits, single = _as_batch(challenges, self.n_stages)
-        streams = [] if noise_seed is None else [
-            (k, sigma, np.random.default_rng(derive_seed(noise_seed, k)))
-            for k, sigma in self._noise]
+        streams = self._streams(noise_seed)
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]

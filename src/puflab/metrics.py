@@ -13,7 +13,10 @@ All figures live on [0, 1] and compare raw response bits:
 ``evaluate_quality`` runs the whole study from a single master seed; repeated
 noisy measurements reuse derived noise seeds, so studies that differ only in
 the noise level see scaled versions of the same disturbances and their
-reliabilities are directly comparable.
+reliabilities are directly comparable.  Each instance's delay differences are
+computed once; every noisy repeat adds its disturbances to those cached
+differences and is re-thresholded and scored against the reference before the
+next, so memory does not grow with the number of repeats.
 """
 
 from __future__ import annotations
@@ -74,13 +77,18 @@ def bit_aliasing(stack) -> np.ndarray:
     return arr.mean(axis=(0, 1))
 
 
+def _reliability(flips, total) -> float:
+    """1 - flip rate, given flipped bits out of ``total`` compared bits."""
+    return float(1.0 - flips / total)
+
+
 def reliability(reference, repeats) -> float:
     """1 - mean flip rate of repeated read-outs against a reference read-out."""
     ref = _bits(reference, "reference", 1, 2)
     reps = _bits(repeats, "repeats", ref.ndim + 1, ref.ndim + 1)
     if reps.shape[1:] != ref.shape:
         raise ValueError("repeats must stack measurements shaped like the reference")
-    return float(1.0 - np.mean(reps != ref))
+    return _reliability(np.count_nonzero(reps != ref), reps.size)
 
 
 @dataclass(frozen=True)
@@ -137,14 +145,16 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("a noisy reliability study needs at least two repeats")
     chal = random_challenges(challenges, n, seed=derive_seed(seed, 1))
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
-    noisy = np.empty((repeats, instances, challenges, width), dtype=np.uint8)
+    flips = 0
     for i in range(instances):
         puf = sample_multibit(n, width, params=params,
                               seed=derive_seed(seed, 0, i),
                               noise_sigma=noise_sigma)
-        stack[i] = puf.respond(chal)
+        diff = puf.delta(chal)
+        ref = stack[i] = diff > 0
         for t in range(repeats):
-            noisy[t, i] = puf.respond(chal, noise_seed=derive_seed(seed, 2, i, t))
+            noise = puf.noise(challenges, derive_seed(seed, 2, i, t))
+            flips += np.count_nonzero((diff + noise > 0) != ref)
     return QualityReport(
         n_stages=n,
         width=width,
@@ -155,6 +165,6 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         seed=seed,
         uniformity=uniformity(stack.reshape(instances, -1)),
         uniqueness=uniqueness(stack),
-        reliability=reliability(stack.reshape(-1), noisy.reshape(repeats, -1)),
+        reliability=_reliability(flips, repeats * stack.size),
         bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)),
     )

@@ -101,7 +101,20 @@ def test_attack_word_dataset_prints_per_bit_range(tmp_path, capsys):
                  "--seed", "21", "-o", str(ds)]) == 0
     code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5")
     assert code == 0
-    assert "per-bit rate: min" in stdout
+    lines = stdout.splitlines()
+    assert lines[-2].startswith("per-bit rate: min")
+    assert lines[-1].startswith("epochs: ") and lines[-1].endswith(" stalled")
+    # how training ended, from AttackReport.epochs_run
+    code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5",
+                          "--epochs", "40", "--tol", "0")
+    assert code == 0
+    assert stdout.splitlines()[-1] == ("epochs: 4/4 bits at the 40-epoch cap; "
+                                       "0 stalled")
+    # no epoch improves the loss by 10, so every bit stops after its first
+    code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5", "--tol", "10")
+    assert code == 0
+    assert stdout.splitlines()[-1] == ("epochs: 0/4 bits at the 500-epoch cap; "
+                                       "4 stalled")
 
 
 def test_attack_usage_and_data_errors(big_dataset, tmp_path, capsys):
@@ -258,6 +271,15 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--config", str(cfg), "--count",
                        "5", "-o", str(tmp_path / "x.csv"))
     assert code == 1 and "key = value" in err
+    # a form feed ends no line, so the bad line is numbered as an editor shows it
+    cfg.write_bytes(b"n = 8\x0c\nbogus line\n")
+    code, _, err = run(capsys, "generate", "--config", str(cfg), "--count",
+                       "5", "-o", str(tmp_path / "x.csv"))
+    assert code == 1 and f"{cfg}:2: expected 'key = value'" in err
+    cfg.write_bytes(b"n = 8\ncount = 5 # caf\xe9\n")
+    code, _, err = run(capsys, "generate", "--config", str(cfg),
+                       "-o", str(tmp_path / "x.csv"))
+    assert code == 1 and f"{cfg}:2: not UTF-8" in err
     code, _, err = run(capsys, "generate", "--config",
                        str(tmp_path / "nope.cfg"), "--count", "5",
                        "-o", str(tmp_path / "x.csv"))

@@ -233,6 +233,46 @@ def test_multibit_word_is_per_chain_bits():
     assert np.array_equal(single, puf.respond(chal)[0])
 
 
+def _mixed_bank():
+    """Five 8-stage chains, two of them quiet."""
+    return MultiBitPuf(sample_chain(8, seed=derive_seed(41, k), noise_sigma=s)
+                       for k, s in enumerate((0.4, 0.0, 1.5, 0.0, 0.2)))
+
+
+def test_multibit_respond_is_delta_plus_noise():
+    m = 2 * BLOCK_ROWS + 37
+    puf = _mixed_bank()
+    chal = random_challenges(m, 8, seed=42)
+    diff = puf.delta(chal)
+    assert diff.shape == (m, 5)
+    for noise_seed in (None, 7, 123456789):
+        want = (diff + puf.noise(m, noise_seed) > 0).astype(np.uint8)
+        assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), want)
+    assert np.array_equal(puf.delta(chal[3]), diff[3])
+
+
+def test_multibit_noise_columns_are_chain_streams():
+    puf = _mixed_bank()
+    m = 300
+    noise = puf.noise(m, 7)
+    assert noise.shape == (m, 5)
+    for k, chain in enumerate(puf.chains):
+        if chain.noise_sigma == 0.0:
+            assert np.all(noise[:, k] == 0.0)
+        else:
+            rng = np.random.default_rng(derive_seed(7, k))
+            assert np.array_equal(noise[:, k],
+                                  chain.noise_sigma * rng.standard_normal(m))
+    assert np.all(puf.noise(m, None) == 0.0)
+
+
+def test_multibit_delta_matches_chain_races():
+    puf = sample_multibit(24, width=6, seed=43)
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 24, seed=44)
+    race = np.column_stack([c.delta(chal) for c in puf.chains])
+    assert np.allclose(puf.delta(chal), race, rtol=0.0, atol=1e-9)
+
+
 def test_multibit_hand_built_word():
     up = ArbiterChain([[1.0, 2.0, 0.0, 0.0]])     # challenge 0 -> 1
     down = ArbiterChain([[5.0, 1.0, 0.0, 0.0]])   # challenge 0 -> 0

@@ -1,9 +1,12 @@
 """Population quality figures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from puflab.core import derive_seed, random_challenges, sample_chain
+from puflab.core import (derive_seed, random_challenges, sample_chain,
+                         sample_multibit)
 from puflab.metrics import (QualityReport, bit_aliasing, evaluate_quality,
                             reliability, uniformity, uniqueness)
 
@@ -155,6 +158,57 @@ def test_multibit_study_and_aliasing_band():
     assert all(0.40 <= a <= 0.60 for a in report.bit_aliasing)
     assert 0.45 <= report.uniqueness <= 0.55
     assert "min" in report.lines()[-1]       # multi-bit aliasing shows a range
+
+
+def _reference_quality(n, instances, challenges, width=1, repeats=5,
+                       noise_sigma=0.0, seed=None):
+    """The study written as one ``respond`` per instance plus one per repeat."""
+    chal = random_challenges(challenges, n, seed=derive_seed(seed, 1))
+    stack, noisy = [], []
+    for i in range(instances):
+        puf = sample_multibit(n, width, seed=derive_seed(seed, 0, i),
+                              noise_sigma=noise_sigma)
+        stack.append(puf.respond(chal))
+        noisy.append([puf.respond(chal, noise_seed=derive_seed(seed, 2, i, t))
+                      for t in range(repeats)])
+    stack = np.stack(stack)
+    noisy = np.stack(noisy, axis=1)
+    return QualityReport(
+        n_stages=n, width=width, instances=instances, challenges=challenges,
+        repeats=repeats, noise_sigma=noise_sigma, seed=seed,
+        uniformity=uniformity(stack.reshape(instances, -1)),
+        uniqueness=uniqueness(stack),
+        reliability=reliability(stack.reshape(-1), noisy.reshape(repeats, -1)),
+        bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)))
+
+
+@pytest.mark.parametrize("n, instances, challenges, width, repeats, sigma", [
+    (32, 3, 300, 1, 2, 0.1),
+    (32, 3, 300, 1, 2, 1.0),
+    (64, 4, 777, 4, 3, 0.2),
+    (16, 5, 513, 1, 4, 0.5),
+    (24, 3, 256, 6, 2, 0.0),
+])
+def test_quality_study_matches_per_repeat_reference(n, instances, challenges,
+                                                    width, repeats, sigma):
+    args = dict(n=n, instances=instances, challenges=challenges, width=width,
+                repeats=repeats, noise_sigma=sigma, seed=61)
+    assert evaluate_quality(**args) == _reference_quality(**args)
+
+
+def test_quality_study_memory_does_not_grow_with_repeats():
+    def peak(repeats):
+        tracemalloc.start()
+        try:
+            evaluate_quality(32, instances=6, challenges=2000, width=8,
+                             repeats=repeats, noise_sigma=0.5, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first study in a process also pays numpy's one-off allocations
+    evaluate_quality(8, 2, 20, repeats=2, noise_sigma=0.5, seed=0)
+    assert peak(20) <= 1.25 * peak(2)
 
 
 def test_quality_study_validation():
