@@ -39,15 +39,15 @@ DEFAULT_EPOCHS = 500
 DEFAULT_TOL = 1e-7
 
 
-def _sigmoid(z, e):
+def _sigmoid(z, e, out=None, tmp=None):
     """Logistic function of z given e = exp(-|z|): 1/(1+e) where z >= 0, else e/(1+e)."""
     # e <= 1, so the numerator max(e, z >= 0) is 1 exactly where z >= 0
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, z >= 0, out=out), np.add(1.0, e, out=tmp), out=out)
 
 
-def _softplus(z, e):
+def _softplus(z, e, out=None, tmp=None):
     """log(1 + exp(z)) given e = exp(-|z|), in the form that never overflows."""
-    return np.maximum(z, 0.0) + np.log1p(e)
+    return np.add(np.maximum(z, 0.0, out=out), np.log1p(e, out=tmp), out=out)
 
 
 def sigmoid(z):
@@ -110,7 +110,8 @@ def _descend(X, Y, lr, epochs, l2, tol):
     The active columns' weights ``Ta`` and labels ``Ya`` are contiguous blocks,
     compacted only on an epoch where a column stalls.  Every matrix product
     is a fresh one of the active block, since BLAS results can depend on the
-    column count and the output buffer.
+    column count and the output buffer.  Elementwise steps reuse per-fit
+    scratch, as fresh (m, k) temporaries page-fault when the heap is trimmed.
     """
     if lr <= 0 or epochs < 1 or tol < 0:
         raise ValueError("need lr > 0, epochs >= 1, tol >= 0")
@@ -122,10 +123,13 @@ def _descend(X, Y, lr, epochs, l2, tol):
     history = []
     cols = np.arange(k)
     Ta, Ya = theta[:, cols], Y[:, cols]
+    bufs = np.empty((3, m * k))
     for _ in range(epochs):
         Z = X @ Ta
-        E = np.exp(-np.abs(Z))
-        cur = np.mean(_softplus(Z, E) - Ya * Z, axis=0)
+        E, S, T = bufs[:, :Z.size].reshape(3, *Z.shape)
+        np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
+        _softplus(Z, E, S, T)
+        cur = np.mean(np.subtract(S, np.multiply(Ya, Z, out=T), out=S), axis=0)
         if l2:
             cur = cur + 0.5 * l2 * np.sum(Ta[:-1] ** 2, axis=0) / m
         row = prev.copy()
@@ -137,10 +141,10 @@ def _descend(X, Y, lr, epochs, l2, tol):
             theta[:, cols[stalled]] = Ta[:, stalled]
             keep = ~stalled
             cols, Ta, Ya = cols[keep], Ta[:, keep], Ya[:, keep]
-            Z, E = Z[:, keep], E[:, keep]
+            Z, E, S, T = Z[:, keep], E[:, keep], None, None  # fresh this epoch
             if cols.size == 0:
                 break
-        G = X.T @ (_sigmoid(Z, E) - Ya) / m
+        G = X.T @ np.subtract(_sigmoid(Z, E, S, T), Ya, out=S) / m
         if l2:
             G[:-1] += l2 * Ta[:-1] / m
         Ta -= lr * G

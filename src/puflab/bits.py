@@ -62,13 +62,21 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
     return np.unpackbits(raw)[-width:].copy()
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """``values`` as uint8, once every entry is exactly 0 or 1 (0.5 raises)."""
+    arr = np.asarray(values)
+    ok = (arr.max(initial=0) <= 1 if arr.dtype == np.uint8
+          else np.all((arr == 0) | (arr == 1)))
+    if not ok:
+        raise ValueError(f"{what} must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 def format_hex_word(bits) -> str:
     """Render a bit vector as canonical hex: uppercase, zero-padded, MSB first."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = _bit_array(bits, "bit values")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D bit sequence")
-    if arr.max(initial=0) > 1:
-        raise ValueError("bit values must be 0 or 1")
     width = arr.size
     pad = (-width) % 8
     padded = np.concatenate([np.zeros(pad, dtype=np.uint8), arr])

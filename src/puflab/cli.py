@@ -256,6 +256,13 @@ def cmd_generate(ns) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
+
+def _print_epochs(epochs_run, cap, what):  # stdout only: no comma, no leading '#'
+    capped = epochs_run.count(cap)
+    print(f"epochs: {capped}/{len(epochs_run)} {what} at the {cap}-epoch cap; "
+          f"{len(epochs_run) - capped} stalled")
+
+
 ATTACK_OPTS = (
     FEATURES_OPT,
     Opt("test", _fraction, 0.15, "held-out fraction of the rows"),
@@ -277,9 +284,7 @@ def cmd_attack(ns) -> int:
     if len(report.per_bit_rate) > 1:
         print(f"per-bit rate: min {min(report.per_bit_rate):.4f} "
               f"max {max(report.per_bit_rate):.4f}")
-    capped = report.epochs_run.count(ns.epochs)
-    print(f"epochs: {capped}/{len(report.epochs_run)} bits at the "
-          f"{ns.epochs}-epoch cap; {len(report.epochs_run) - capped} stalled")
+    _print_epochs(report.epochs_run, ns.epochs, "bits")
     if ns.out:
         _write_text(ns.out, lines)
     return 0
@@ -308,7 +313,7 @@ def cmd_sweep(ns) -> int:
                          params=params, noise_sigma=ns.noise_sigma)
     lines = _echo_lines(ns, SWEEP_OPTS)
     lines.append(AttackReport.CSV_HEADER)
-    grid = []
+    grid, epochs_run = [], []
     for i, count in enumerate(ns.counts):
         subset = full.subset(np.arange(count))
         row = []
@@ -319,6 +324,7 @@ def cmd_sweep(ns) -> int:
                                     seed=derive_seed(ns.seed, 3, i, j))
             lines.append(report.csv_row())
             row.append(report.mean_rate)
+            epochs_run += report.epochs_run
         grid.append(row)
     for line in lines:
         print(line)
@@ -331,6 +337,7 @@ def cmd_sweep(ns) -> int:
         print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
     print(f"mean rate over {sum(len(r) for r in grid)} cells: "
           f"{np.mean([v for r in grid for v in r]):.4f}")
+    _print_epochs(epochs_run, ns.epochs, "bit fits")
     if ns.out:
         _write_text(ns.out, lines)
     return 0

@@ -15,13 +15,13 @@ every challenge.  Measurement noise is modelled as a single Gaussian
 disturbance added to the final delay difference.
 
 A multi-bit instance is a bank of independent chains sharing one challenge,
-one response bit per chain.  The bank folds its chains once, when it is
-built, and responds through the folded weights; ``ArbiterChain.delta`` keeps
-the stage-by-stage race as the reference oracle that the fold is checked
-against.  ``MultiBitPuf.delta`` gives the bank's noise-free differences and
-``MultiBitPuf.noise`` the per-chain disturbances of one noisy read-out, with
-``respond(c, s) == (delta(c) + noise(len(c), s) > 0)``, so a caller that reads
-one bank under many noise seeds can compute the delay products once.
+one response bit per chain.  The bank folds its chains once, when built, and
+responds through the folded weights; ``ArbiterChain.delta`` keeps the race as
+the reference oracle for the fold.  ``MultiBitPuf.delta`` gives noise-free
+differences and ``MultiBitPuf.noise`` one read-out's per-chain disturbances,
+with ``respond(c, s) == (delta(c) + noise(len(c), s) > 0)``, so delay products
+are computed once for many noise seeds; ``MultiBitPuf.delta_of_features``
+takes parity features, so one challenge set is encoded once for many banks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import _bit_array
 from .features import feature_matrix
 
 __all__ = [
@@ -46,8 +47,8 @@ __all__ = [
     "linear_disagreements",
 ]
 
-# Rows a bank evaluates at a time; bounds the float64 temporaries of the
-# parity features at a few (BLOCK_ROWS, n+1) arrays whatever the batch size.
+# Rows a bank multiplies at a time; ``respond`` also encodes block by block, so
+# its float64 temporaries stay a few (BLOCK_ROWS, n+1) arrays at any batch size.
 BLOCK_ROWS = 256
 
 
@@ -79,16 +80,12 @@ def derive_seed(master, *key) -> int:
 
 def _as_batch(challenges, n: int):
     """Validate challenges against an n-stage device; return ((m, n) array, single?)."""
-    bits = np.asarray(challenges)
-    single = bits.ndim == 1
-    bits = np.atleast_2d(bits)
-    if bits.ndim != 2:
+    bits = _bit_array(challenges, "challenge bits")
+    if bits.ndim not in (1, 2):
         raise ValueError("challenges must be a 1-D or 2-D bit array")
-    if bits.shape[1] != n:
-        raise ValueError(f"challenge has {bits.shape[1]} bits, device expects {n}")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("challenge bits must be 0 or 1")
-    return bits.astype(np.uint8), single
+    if bits.shape[-1] != n:
+        raise ValueError(f"challenge has {bits.shape[-1]} bits, device expects {n}")
+    return np.atleast_2d(bits), bits.ndim == 1
 
 
 def _threshold(diff):
@@ -221,16 +218,23 @@ class MultiBitPuf:
                 for k, sigma in self._noise]
 
     def delta(self, challenges) -> np.ndarray:
-        """Noise-free delay differences, shape (m, width); a single challenge
-        gives (width,).  Column k agrees with ``chains[k].delta(c)`` up to
-        rounding, and ``delta(c) > 0`` is ``respond(c)``."""
+        """Noise-free differences, (m, width) or (width,) for one challenge;
+        column k is ``chains[k].delta(c)`` up to rounding, ``delta(c) > 0`` is
+        ``respond(c)``.  It encodes the whole batch: m * (n+1) * 8 bytes."""
         bits, single = _as_batch(challenges, self.n_stages)
-        out = np.empty((bits.shape[0], self.width))
-        for start in range(0, bits.shape[0], BLOCK_ROWS):
-            block = bits[start:start + BLOCK_ROWS]
-            out[start:start + BLOCK_ROWS] = (feature_matrix(block, "parity")
-                                             @ self._weights)
+        out = self.delta_of_features(feature_matrix(bits, "parity"))
         return out[0] if single else out
+
+    def delta_of_features(self, feats) -> np.ndarray:
+        """(m, width) ``delta`` of an (m, n+1) parity feature matrix, in the same
+        ``BLOCK_ROWS`` products as ``respond``: ``delta(c)`` bit for bit."""
+        if np.ndim(feats) != 2 or np.shape(feats)[1] != self.n_stages + 1:
+            raise ValueError(f"features must have shape (m, {self.n_stages + 1})")
+        out = np.empty((len(feats), self.width))
+        for start in range(0, len(feats), BLOCK_ROWS):
+            out[start:start + BLOCK_ROWS] = (feats[start:start + BLOCK_ROWS]
+                                             @ self._weights)
+        return out
 
     def noise(self, m: int, noise_seed) -> np.ndarray:
         """The (m, width) disturbances ``respond`` adds to m rows under

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .bits import HexFormatError, format_hex_word, parse_hex_word
+from .bits import HexFormatError, _bit_array, format_hex_word, parse_hex_word
 from .core import DelayParams, derive_seed, random_challenges, sample_multibit
 
 __all__ = [
@@ -57,12 +57,9 @@ class DatasetError(ValueError):
 
 
 def _as_bit_matrix(values, name):
-    arr = np.asarray(values)
+    arr = _bit_array(np.array(values), f"{name} bits")  # a copy, frozen below
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D bit array")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValueError(f"{name} bits must be 0 or 1")
-    arr = arr.astype(np.uint8)
     arr.setflags(write=False)
     return arr
 

@@ -5,8 +5,10 @@ Two maps from an n-bit challenge to an (n+1)-entry float vector over
 
 * ``raw``    -- entry i is 1 - 2*c_i (bit 0 -> +1, bit 1 -> -1).
 * ``parity`` -- entry i is the product of (1 - 2*c_j) over j = i..n, the
-  cumulative-product transform under which an arbiter chain's response is a
-  linear threshold function.
+  transform under which an arbiter chain's response is a linear threshold
+  function.  That product is 1 - 2*(c_i xor ... xor c_n), so
+  ``feature_matrix`` xor-scans the uint8 bits from the last stage and writes
+  exact +-1 entries (never -0.0) and the bias into one C-contiguous array.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+
+from .bits import _bit_array
 
 __all__ = ["FeatureKind", "feature_matrix"]
 
@@ -27,18 +31,14 @@ class FeatureKind(str, Enum):
 
 
 def feature_matrix(challenges, kind: FeatureKind = FeatureKind.PARITY) -> np.ndarray:
-    """Encode a batch of challenges as an (m, n+1) feature matrix."""
-    kind = FeatureKind(kind)
-    bits = np.atleast_2d(np.asarray(challenges))
+    """Encode a batch of challenges as a C-contiguous (m, n+1) float64 matrix."""
+    bits = _bit_array(np.atleast_2d(challenges), "challenge bits")
     if bits.ndim != 2 or bits.shape[1] < 1:
         raise ValueError("challenges must be an (m, n) bit array with n >= 1")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("challenge bits must be 0 or 1")
-    signs = 1.0 - 2.0 * bits.astype(np.float64)
-    if kind is FeatureKind.PARITY:
-        feats = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
-    else:
-        feats = signs
-    bias = np.ones((bits.shape[0], 1))
-    return np.hstack([feats, bias])
-
+    if FeatureKind(kind) is FeatureKind.PARITY:
+        # scan the (n, m) transpose: one vector xor per stage across all rows
+        bits = np.bitwise_xor.accumulate(bits.T[::-1], axis=0)[::-1].T
+    feats = np.empty((bits.shape[0], bits.shape[1] + 1))
+    feats[:, :-1] = 1 - 2 * bits.view(np.int8)
+    feats[:, -1] = 1.0
+    return feats

@@ -75,6 +75,12 @@ def test_format_input_validation():
         format_hex_word([0, 2, 1])
     with pytest.raises(ValueError):
         format_hex_word([[0, 1], [1, 0]])
+    # a fraction or NaN is rejected, not floored to 0
+    for bad in ([0.5, 1], [np.nan, 1], [0, -1]):
+        with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+            format_hex_word(bad)
+    assert format_hex_word([1.0, 0.0, 1.0]) == "5"
+    assert format_hex_word(np.array([True, False, True])) == "5"
 
 
 def test_randomized_roundtrip():

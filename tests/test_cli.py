@@ -168,6 +168,22 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert "# counts=200" in lines
 
 
+def test_sweep_prints_how_its_fits_ended(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--n", "16", "--chains", "2", "--counts", "150,300",
+            "--fractions", "0.2,0.3", "--seed", "31", "-o", str(out)]
+    # no epoch improves the loss by 10, so every fit stops after its first
+    code, stdout, _ = run(capsys, *args, "--tol", "10")
+    assert code == 0
+    assert stdout.splitlines()[-1] == ("epochs: 0/8 bit fits at the 500-epoch "
+                                       "cap; 8 stalled")
+    assert "epochs:" not in out.read_text()
+    code, stdout, _ = run(capsys, *args, "--epochs", "30", "--tol", "0")
+    assert code == 0
+    assert stdout.splitlines()[-1] == ("epochs: 8/8 bit fits at the 30-epoch "
+                                       "cap; 0 stalled")
+
+
 def test_sweep_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--n", "16", "--chains", "2", "--counts", "150,300",

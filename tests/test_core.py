@@ -7,6 +7,7 @@ from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
                          MultiBitPuf, all_challenges, derive_seed,
                          linear_disagreements, random_challenges, sample_chain,
                          sample_multibit, to_linear)
+from puflab.features import feature_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,17 @@ def test_challenge_validation():
         chain.respond([0, 1])
     with pytest.raises(ValueError):
         chain.respond([0, 1, 2, 0])
+    # a fraction or NaN is rejected, not floored to 0
+    for bad in ([0, 0.5, 1, 0], [0, np.nan, 1, 0]):
+        with pytest.raises(ValueError, match="challenge bits must be 0 or 1"):
+            chain.respond(bad)
+        with pytest.raises(ValueError, match="challenge bits must be 0 or 1"):
+            sample_multibit(4, width=2, seed=2).respond(bad)
+    exact = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    assert np.array_equal(chain.respond(exact),
+                          chain.respond(exact.astype(np.uint8)))
+    assert np.array_equal(chain.respond(exact.astype(bool)),
+                          chain.respond(exact.astype(np.uint8)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +276,24 @@ def test_multibit_noise_columns_are_chain_streams():
             assert np.array_equal(noise[:, k],
                                   chain.noise_sigma * rng.standard_normal(m))
     assert np.all(puf.noise(m, None) == 0.0)
+
+
+def test_multibit_delta_of_features_is_delta_bit_for_bit():
+    """Features encoded once give the same products as per-block encoding."""
+    m = 2 * BLOCK_ROWS + 37
+    puf = _mixed_bank()
+    chal = random_challenges(m, 8, seed=45)
+    got = puf.delta_of_features(feature_matrix(chal, "parity"))
+    assert got.shape == (m, 5)
+    assert np.array_equal(got, puf.delta(chal))
+    weights = np.column_stack([to_linear(c).weights for c in puf.chains])
+    per_block = np.vstack([feature_matrix(chal[s:s + BLOCK_ROWS]) @ weights
+                           for s in range(0, m, BLOCK_ROWS)])
+    assert np.array_equal(got, per_block)
+    assert np.array_equal(got > 0, puf.respond(chal))
+    for bad in (np.ones((3, 8)), np.ones(9), np.ones((3, 10))):
+        with pytest.raises(ValueError, match="features must have shape"):
+            puf.delta_of_features(bad)
 
 
 def test_multibit_delta_matches_chain_races():

@@ -63,6 +63,19 @@ def test_crpset_validation():
             CrpSet([[0]], [[1]], {"note": value})
     with pytest.raises(ValueError):
         CrpSet([0, 1], [[1]])                      # 1-D challenges
+    # a fraction or NaN is rejected, not floored to 0
+    for bad in ([[0.5, 1]], [[np.nan, 1]], [[0, -1]]):
+        with pytest.raises(ValueError, match="challenges bits must be 0 or 1"):
+            CrpSet(bad, [[1]])
+        with pytest.raises(ValueError, match="responses bits must be 0 or 1"):
+            CrpSet([[0, 1]], bad)
+    exact = CrpSet([[0.0, 1.0]], [[True]])
+    assert exact.challenges.dtype == np.uint8 and exact.challenges.tolist() == [[0, 1]]
+    assert exact.responses.dtype == np.uint8 and exact.responses.tolist() == [[1]]
+    own = np.array([[0, 1]], dtype=np.uint8)
+    crps = CrpSet(own, [[1]])
+    own[0, 0] = 1                                  # the set keeps its own copy
+    assert crps.challenges.tolist() == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------

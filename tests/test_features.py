@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puflab.features import FeatureKind, feature_matrix
+
+
+def _reference(bits, kind):
+    """The float form: signs 1 - 2c, suffix products by a reversed cumprod,
+    then the bias column stacked on."""
+    signs = 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+    if kind == "parity":
+        signs = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    return np.hstack([signs, np.ones((signs.shape[0], 1))])
 
 
 def test_kind_accepts_strings():
@@ -68,9 +79,35 @@ def test_parity_is_injective():
     assert len({tuple(row) for row in feats}) == 64
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 130),
+       m=st.one_of(st.sampled_from([0, 1, 255, 256, 257]),
+                   st.integers(0, 600)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["parity", "raw"]),
+       dtype=st.sampled_from([np.uint8, np.bool_, np.float64, np.float32,
+                              np.int64]))
+def test_matches_cumprod_reference(n, m, seed, kind, dtype):
+    bits = np.random.default_rng(seed).integers(0, 2, size=(m, n), dtype=np.uint8)
+    given_bits = bits.astype(dtype)
+    feats = feature_matrix(given_bits, kind)
+    assert feats.dtype == np.float64 and feats.flags.c_contiguous
+    assert feats.shape == (m, n + 1)
+    assert np.array_equal(feats, _reference(bits, kind))
+    assert np.all(np.abs(feats) == 1.0)       # so no -0.0 either
+    assert np.array_equal(given_bits, bits)   # the input is left as it was
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         feature_matrix([[0, 1], [1, 2]])
+    # a fraction or NaN is rejected, not floored to 0 (which gave a -0.0 entry)
+    for bad in ([[0.5, 1]], [[np.nan, 1]], [[1.0, 0.0], [0.0, 0.25]]):
+        for kind in FeatureKind:
+            with pytest.raises(ValueError, match="challenge bits must be 0 or 1"):
+                feature_matrix(bad, kind)
+    with pytest.raises(ValueError):
+        feature_matrix([["0", "1"]])
     with pytest.raises(ValueError):
         feature_matrix([[0, -1]])
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from puflab.core import (derive_seed, random_challenges, sample_chain,
-                         sample_multibit)
+from puflab.core import (MultiBitPuf, derive_seed, random_challenges,
+                         sample_chain, sample_multibit)
 from puflab.metrics import (QualityReport, bit_aliasing, evaluate_quality,
                             reliability, uniformity, uniqueness)
 
@@ -27,6 +27,12 @@ def test_uniformity_validation():
         uniformity([])
     with pytest.raises(ValueError):
         uniformity([0, 1, 2])
+    # a fraction or NaN is rejected, not floored to 0
+    for bad in ([0.5, 0.5], [np.nan, 1.0], [0, -1]):
+        with pytest.raises(ValueError, match="responses bits must be 0 or 1"):
+            uniformity(bad)
+    assert uniformity([1.0, 0.0, 1.0, 1.0]) == 0.75
+    assert uniformity([True, False]) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +116,11 @@ def test_reliability_validation():
 # whole studies
 
 
-def test_quality_study_noise_free():
+def test_quality_study_noise_free(monkeypatch):
+    # no chain is noisy, so the study draws no disturbances at all
+    def no_noise(*args):
+        raise AssertionError("a noise-free study drew noise")
+    monkeypatch.setattr(MultiBitPuf, "noise", no_noise)
     report = evaluate_quality(8, 2, 20, seed=7)
     assert report.reliability == 1.0
     assert report.seed == 7
