@@ -1,16 +1,17 @@
 """Logistic-regression modeling attacks on collected CRP data.
 
-Plain full-batch gradient descent on the cross-entropy loss, written directly
+``attack_dataset`` scores a dataset into an ``AttackReport`` by plain
+full-batch gradient descent on the cross-entropy loss, written directly
 against numpy.  A response word with w bits is attacked as w independent
 binary problems; they are trained side by side as the columns of one weight
 matrix so every epoch costs two matrix products, and a column freezes on its
 own as soon as an epoch stops improving its loss.
 
-The sigmoid and the loss are evaluated in overflow-safe forms built on one
-shared ``e = exp(-|z|)``, so an epoch takes a single ``exp`` and uses it for
-both the loss and the gradient.  The analytic gradient is exposed separately
-so it can be checked against finite differences, and every fit records its
-loss trajectory.
+``sigmoid``, ``cross_entropy`` and ``gradient`` are the public numerics.  The
+sigmoid and the loss are evaluated in overflow-safe forms built on one shared
+``e = exp(-|z|)``, so an epoch takes a single ``exp`` and uses it for both the
+loss and the gradient.  The analytic gradient can be checked against finite
+differences, and every fit records its loss trajectory.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ __all__ = [
     "sigmoid",
     "cross_entropy",
     "gradient",
-    "LrModel",
-    "train_logistic",
-    "predict",
-    "predict_bits",
     "attack_dataset",
     "AttackReport",
 ]
@@ -56,7 +53,7 @@ def sigmoid(z):
     return _sigmoid(z, np.exp(-np.abs(z)))[()]
 
 
-def _check_xy(X, y, binary=False):
+def _check_xy(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -65,8 +62,6 @@ def _check_xy(X, y, binary=False):
         raise ValueError("X and y must agree on the number of rows")
     if y.ndim not in (1, 2):
         raise ValueError("y must be (m,) labels or an (m, k) label matrix")
-    if binary and y.size and not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
     return X, y
 
 
@@ -94,7 +89,6 @@ def gradient(weights, X, y, l2: float = 0.0) -> np.ndarray:
     m = X.shape[0]
     g = X.T @ (sigmoid(X @ weights) - y) / m
     if l2:
-        g = g.copy()
         g[:-1] += l2 * weights[:-1] / m
     return g
 
@@ -113,8 +107,8 @@ def _descend(X, Y, lr, epochs, l2, tol):
     column count and the output buffer.  Elementwise steps reuse per-fit
     scratch, as fresh (m, k) temporaries page-fault when the heap is trimmed.
     """
-    if lr <= 0 or epochs < 1 or tol < 0:
-        raise ValueError("need lr > 0, epochs >= 1, tol >= 0")
+    if not (0 < lr < np.inf and epochs >= 1 and tol >= 0 and 0 <= l2 < np.inf):
+        raise ValueError("need finite lr > 0, epochs >= 1, tol >= 0, finite l2 >= 0")
     m, d = X.shape
     k = Y.shape[1]
     theta = np.zeros((d, k))
@@ -155,79 +149,9 @@ def _descend(X, Y, lr, epochs, l2, tol):
     return theta, updates, np.vstack(history)
 
 
-@dataclass(frozen=True)
-class LrModel:
-    """A fitted model for one response bit, plus how its training went.
-
-    ``theta`` has n + 1 entries (bias last) for an n-bit challenge;
-    ``feature_map`` names the encoding the model was trained on and is the one
-    ``predict`` applies.  ``loss_history`` starts at the all-zero weights and
-    ends at the final loss.
-    """
-
-    theta: np.ndarray
-    feature_map: str
-    n_bits: int
-    epochs_run: int
-    final_loss: float
-    loss_history: tuple
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.shape[0] != self.n_bits + 1:
-            raise ValueError("theta must have n_bits + 1 entries")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-
-def train_logistic(X, y, lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
-                   l2: float = 0.0, tol: float = DEFAULT_TOL,
-                   feature_map=FeatureKind.PARITY) -> LrModel:
-    """Fit one response bit on an (m, d) feature matrix by gradient descent.
-
-    Weights start at zero and update for at most ``epochs`` full-batch steps;
-    training stops early once an epoch improves the loss by less than
-    ``tol``.  ``feature_map`` is recorded on the model so predictions encode
-    challenges the same way the training rows were encoded.
-    """
-    X, y = _check_xy(X, y, binary=True)
-    if y.ndim != 1:
-        raise ValueError("train_logistic fits one bit; use attack_dataset for words")
-    theta, updates, history = _descend(X, y[:, None], lr, epochs, l2, tol)
-    return LrModel(
-        theta=theta[:, 0],
-        feature_map=str(FeatureKind(feature_map)),
-        n_bits=X.shape[1] - 1,
-        epochs_run=int(updates[0]),
-        final_loss=float(history[-1, 0]),
-        loss_history=tuple(float(v) for v in history[:, 0]),
-    )
-
-
-def predict(model: LrModel, challenges):
-    """Model output for challenges: (bit, probability).
-
-    A single challenge gives plain ``(int, float)``; a batch gives two
-    arrays.  The bit is 1 exactly when the probability exceeds 0.5, so a
-    probability of exactly 0.5 maps to 0 like a dead-heat race.
-    """
-    bits = np.asarray(challenges)
-    single = bits.ndim == 1
-    if bits.shape[-1] != model.n_bits:
-        raise ValueError(f"challenge has {bits.shape[-1]} bits, "
-                         f"model expects {model.n_bits}")
-    z = feature_matrix(bits, model.feature_map) @ model.theta
-    prob = sigmoid(z)
-    bit = (z > 0).astype(np.uint8)
-    if single:
-        return int(bit[0]), float(prob[0])
-    return bit, prob
-
-
 def predict_bits(weights, X) -> np.ndarray:
-    """Hard 0/1 predictions on ready-made feature rows."""
-    X = np.asarray(X, dtype=np.float64)
-    return (X @ np.asarray(weights, dtype=np.float64) > 0).astype(np.uint8)
+    """1 exactly where a bit's linear form X @ weights is positive, so a dead heat reads 0."""
+    return (X @ weights > 0).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -65,46 +65,25 @@ class Opt:
         return self.name.replace("-", "_")
 
 
-def _pos_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _number(cast, rule="", ok=None):
+    """Parser that casts, requires a float to be finite, then checks ``ok``."""
+    def parse(text):
+        value = cast(text)
+        if cast is float and not np.isfinite(value):
+            raise ValueError("must be finite")
+        if ok is not None and not ok(value):
+            raise ValueError(rule)
+        return value
+    return parse
 
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
-
-
-def _float(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _pos_float(text):
-    value = _float(text)
-    if value <= 0:
-        raise ValueError("must be > 0")
-    return value
-
-
-def _nonneg_float(text):
-    value = _float(text)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
-
-
-def _fraction(text):
-    value = _float(text)
-    if not 0.0 < value < 1.0:
-        raise ValueError("must be strictly between 0 and 1")
-    return value
+_pos_int = _number(int, "must be >= 1", lambda v: v >= 1)
+_nonneg_int = _number(int, "must be >= 0", lambda v: v >= 0)
+_float = _number(float)
+_pos_float = _number(float, "must be > 0", lambda v: v > 0)
+_nonneg_float = _number(float, "must be >= 0", lambda v: v >= 0)
+_fraction = _number(float, "must be strictly between 0 and 1",
+                    lambda v: 0.0 < v < 1.0)
 
 
 def _features(text):
@@ -379,7 +358,8 @@ ORACLE_OPTS = (
     Opt("chains", _pos_int, 5, "chains sampled per stage count"),
     Opt("random-width", _pos_int, 64, "stage count for the randomised pass"),
     Opt("random-count", _nonneg_int, 1000,
-        "random challenges in the randomised pass (0 disables)"),
+        "random challenges in the randomised pass (0 disables; "
+        "--n above 16 needs >= 1)"),
     Opt("seed", _nonneg_int, 0, "seed for sampled chains and challenges"),
 )
 
@@ -407,9 +387,10 @@ def cmd_oracle_check(ns) -> int:
     if ns.n is not None:
         if ns.n <= 16:
             run_pass(ns.n, all_challenges(ns.n), "challenges (exhaustive)")
+        elif not ns.random_count:
+            raise UsageError("--random-count must be >= 1 when --n is above 16")
         else:
-            count = max(1, ns.random_count)
-            run_pass(ns.n, random_challenges(count, ns.n,
+            run_pass(ns.n, random_challenges(ns.random_count, ns.n,
                                              seed=derive_seed(ns.seed, 1)),
                      "challenges (random)")
     else:

@@ -104,9 +104,9 @@ class ArbiterChain:
     noise-free reference.
     """
 
-    __slots__ = ("_delays", "_noise_sigma", "_seed", "_params")
+    __slots__ = ("_delays", "_noise_sigma", "_seed")
 
-    def __init__(self, delays, noise_sigma: float = 0.0, seed=None, params=None):
+    def __init__(self, delays, noise_sigma: float = 0.0, seed=None):
         delays = np.array(delays, dtype=np.float64)
         if delays.ndim != 2 or delays.shape[1] != 4 or delays.shape[0] < 1:
             raise ValueError("delays must have shape (n, 4) with n >= 1")
@@ -118,7 +118,6 @@ class ArbiterChain:
         self._delays = delays
         self._noise_sigma = float(noise_sigma)
         self._seed = seed
-        self._params = params
 
     @property
     def n_stages(self) -> int:
@@ -136,10 +135,6 @@ class ArbiterChain:
     @property
     def seed(self):
         return self._seed
-
-    @property
-    def params(self):
-        return self._params
 
     def delta(self, challenges, noise_seed=None) -> np.ndarray:
         """Final arrival-time difference (bottom - top) for each challenge."""
@@ -310,7 +305,7 @@ def sample_chain(n: int, params: DelayParams = None, seed=None,
         params = DelayParams()
     rng = np.random.default_rng(seed)
     delays = rng.normal(params.mean, params.sigma, size=(n, 4))
-    return ArbiterChain(delays, noise_sigma=noise_sigma, seed=seed, params=params)
+    return ArbiterChain(delays, noise_sigma=noise_sigma, seed=seed)
 
 
 def sample_multibit(n: int, width: int = None, params: DelayParams = None,

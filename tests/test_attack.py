@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from puflab.attack import (AttackReport, LrModel, _descend, attack_dataset,
-                           cross_entropy, gradient, predict, predict_bits,
-                           sigmoid, train_logistic)
-from puflab.core import all_challenges, random_challenges, sample_chain, to_linear
-from puflab.crp import generate_crps, split_crps
+from puflab.attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL,
+                           AttackReport, _descend, attack_dataset,
+                           cross_entropy, gradient, sigmoid)
+from puflab.core import all_challenges, sample_chain
+from puflab.crp import CrpSet, generate_crps, split_crps
 from puflab.features import feature_matrix
 
 
@@ -137,79 +137,72 @@ def test_xy_validation():
     with pytest.raises(ValueError):
         gradient(np.zeros(3), X, np.zeros(3))          # row mismatch
     with pytest.raises(ValueError):
-        train_logistic(X, np.array([0.0, 0.5]))        # non-binary label
-    with pytest.raises(ValueError):
-        train_logistic(X, np.zeros((2, 2)))            # word labels
-    with pytest.raises(ValueError):
-        train_logistic(X, np.zeros(2), lr=0.0)
-    with pytest.raises(ValueError):
-        train_logistic(X, np.zeros(2), epochs=0)
+        cross_entropy(np.zeros(3), X, np.zeros((2, 1, 1)))  # labels not 1-D/2-D
+    with pytest.raises(ValueError, match="0 or 1"):    # labels enter via CrpSet
+        CrpSet([[0, 1], [1, 0]], [[0.0], [0.5]])
+
+
+@pytest.mark.parametrize("bad", [{"lr": 0.0}, {"epochs": 0}, {"lr": np.nan},
+                                 {"lr": np.inf}, {"l2": np.nan}, {"l2": -5.0},
+                                 {"tol": np.nan}],
+                         ids=["lr=0", "epochs=0", "lr=nan", "lr=inf", "l2=nan",
+                              "l2=-5", "tol=nan"])
+def test_attack_rejects_bad_hyperparameters(bad):
+    # all but the first two once ran to NaN losses or a silently wrong fit
+    crps = generate_crps(16, 300, width=2, seed=1)
+    with pytest.raises(ValueError, match="need finite lr > 0"):
+        attack_dataset(crps, **{"epochs": 50, **bad})
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
+TOY_X = np.array([[-1.0, 1.0], [1.0, 1.0]])
+TOY_Y = np.array([[0.0], [1.0]])
+
+
 def test_toy_problem_separates():
-    X = np.array([[-1.0, 1.0], [1.0, 1.0]])
-    y = np.array([0.0, 1.0])
-    model = train_logistic(X, y, lr=0.5, epochs=200)
-    assert predict_bits(model.theta, X).tolist() == [0, 1]
-    assert model.theta[0] > 0.0
-    assert model.final_loss < np.log(2.0)
+    theta, _, history = _descend(TOY_X, TOY_Y, 0.5, 200, 0.0, DEFAULT_TOL)
+    assert (TOY_X @ theta > 0).ravel().tolist() == [False, True]
+    assert theta[0, 0] > 0.0
+    assert history[-1, 0] < np.log(2.0)
 
 
 def test_loss_history_starts_at_log_two_and_never_rises():
-    X = np.array([[-1.0, 1.0], [1.0, 1.0]])
-    y = np.array([0.0, 1.0])
-    model = train_logistic(X, y, lr=0.5, epochs=200)
-    hist = np.array(model.loss_history)
-    assert hist[0] == pytest.approx(np.log(2.0), abs=1e-15)
-    assert np.all(np.diff(hist) <= 1e-12)
-    assert hist[-1] == model.final_loss
+    _, _, history = _descend(TOY_X, TOY_Y, 0.5, 200, 0.0, DEFAULT_TOL)
+    assert history[0, 0] == pytest.approx(np.log(2.0), abs=1e-15)
+    assert np.all(np.diff(history[:, 0]) <= 1e-12)
 
     rng = np.random.default_rng(404)
     for _ in range(10):
         m, n = int(rng.integers(20, 80)), int(rng.integers(3, 12))
         Xr = feature_matrix(rng.integers(0, 2, size=(m, n)))
-        yr = rng.integers(0, 2, size=m).astype(float)
-        mod = train_logistic(Xr, yr, lr=0.1, epochs=300)
-        assert np.all(np.diff(mod.loss_history) <= 1e-12)
+        Yr = rng.integers(0, 2, size=(m, 3)).astype(float)
+        _, _, hist = _descend(Xr, Yr, 0.1, 300, 0.0, DEFAULT_TOL)
+        assert np.all(np.diff(hist, axis=0) <= 1e-12)
 
 
 def test_training_metadata():
-    X = np.array([[-1.0, 1.0], [1.0, 1.0]])
-    y = np.array([0.0, 1.0])
-    model = train_logistic(X, y, lr=0.5, epochs=200)
-    assert model.n_bits == 1
-    assert model.feature_map == "parity"
-    assert 0 < model.epochs_run <= 200
-    assert len(model.loss_history) >= model.epochs_run + 1
-    assert model.final_loss == pytest.approx(
-        cross_entropy(model.theta, X, y), rel=1e-12)
+    theta, updates, history = _descend(TOY_X, TOY_Y, 0.5, 200, 0.0, DEFAULT_TOL)
+    assert theta.shape == (2, 1)
+    assert 0 < updates[0] <= 200
+    assert history.shape[0] >= updates[0] + 1
+    assert history[-1, 0] == pytest.approx(
+        cross_entropy(theta, TOY_X, TOY_Y)[0], rel=1e-12)
     # a huge tolerance stops right after the first update
-    lazy = train_logistic(X, y, lr=0.5, epochs=200, tol=10.0)
-    assert lazy.epochs_run == 1
+    _, lazy, _ = _descend(TOY_X, TOY_Y, 0.5, 200, 0.0, 10.0)
+    assert lazy.tolist() == [1]
 
 
 def test_model_learns_real_chain():
     chain = sample_chain(6, seed=3)
     chal = all_challenges(6)
     X = feature_matrix(chal)
-    y = chain.respond(chal).astype(float)
-    model = train_logistic(X, y)
-    assert np.mean(predict_bits(model.theta, X) == y) == 1.0
-
-
-def test_lrmodel_validation():
-    with pytest.raises(ValueError):
-        LrModel(theta=np.zeros(3), feature_map="parity", n_bits=4,
-                epochs_run=1, final_loss=0.5, loss_history=(0.7, 0.5))
-    model = LrModel(theta=np.zeros(5), feature_map="parity", n_bits=4,
-                    epochs_run=0, final_loss=np.log(2.0),
-                    loss_history=(np.log(2.0),))
-    with pytest.raises(ValueError):
-        model.theta[0] = 1.0
+    y = chain.respond(chal)
+    theta, _, _ = _descend(X, y[:, None].astype(float), DEFAULT_LR,
+                           DEFAULT_EPOCHS, 0.0, DEFAULT_TOL)
+    assert np.array_equal((X @ theta > 0)[:, 0], y == 1)
 
 
 def _reference_descend(X, Y, lr, epochs, l2, tol):
@@ -282,45 +275,46 @@ def test_descend_matches_reference_bit_for_bit(kind, l2, tol, epochs):
 
 
 def test_predict_zero_model_is_coin_at_zero():
-    model = LrModel(theta=np.zeros(5), feature_map="parity", n_bits=4,
-                    epochs_run=0, final_loss=np.log(2.0),
-                    loss_history=(np.log(2.0),))
-    bit, prob = predict(model, [1, 0, 1, 1])
-    assert bit == 0 and prob == 0.5
-    bits, probs = predict(model, all_challenges(4))
-    assert bits.shape == (16,) and np.all(bits == 0)
-    assert np.all(probs == 0.5)
+    # every first-step gradient entry is at most 0.5 in size, so a step of the
+    # smallest subnormal rounds to zero: the weights stay 0, every linear form
+    # is exactly 0 and, like a dead-heat race, every bit is predicted 0
+    crps = generate_crps(8, 200, width=3, seed=13)
+    report = attack_dataset(crps, test_fraction=0.25, lr=5e-324, seed=2)
+    _, test = split_crps(crps, 0.25, seed=2)
+    assert report.epochs_run == (1, 1, 1)
+    np.testing.assert_allclose(report.final_loss, np.log(2.0), rtol=0, atol=1e-15)
+    zeros = np.mean(test.responses == 0, axis=0)
+    assert report.per_bit_rate == tuple(float(r) for r in zeros)
+    assert report.word_exact_rate == float(np.mean(np.all(test.responses == 0,
+                                                          axis=1)))
 
 
 def test_predict_consistent_with_linear_form():
-    chain = sample_chain(8, seed=21)
-    w = to_linear(chain).weights
-    model = LrModel(theta=w, feature_map="parity", n_bits=8, epochs_run=0,
-                    final_loss=0.0, loss_history=(0.0,))
-    chal = all_challenges(8)
-    bits, probs = predict(model, chal)
-    assert np.array_equal(bits, chain.respond(chal))
-    z = feature_matrix(chal) @ w
-    np.testing.assert_allclose(probs, sigmoid(z))
-    assert np.array_equal(bits, predict_bits(w, feature_matrix(chal)))
-
-
-def test_predict_rejects_wrong_width():
-    model = LrModel(theta=np.zeros(5), feature_map="parity", n_bits=4,
-                    epochs_run=0, final_loss=0.0, loss_history=(0.0,))
-    with pytest.raises(ValueError, match="expects 4"):
-        predict(model, [0, 1, 0])
+    """The report scores the sign of the fitted linear form on the test rows."""
+    crps = generate_crps(12, 400, width=3, seed=21)
+    report = attack_dataset(crps, test_fraction=0.25, epochs=60, seed=4)
+    train, test = split_crps(crps, 0.25, seed=4)
+    theta, _, _ = _descend(feature_matrix(train.challenges),
+                           train.responses.astype(float), DEFAULT_LR, 60, 0.0,
+                           DEFAULT_TOL)
+    hits = (feature_matrix(test.challenges) @ theta > 0) == test.responses
+    assert report.per_bit_rate == tuple(float(r) for r in hits.mean(axis=0))
+    assert report.word_exact_rate == float(np.all(hits, axis=1).mean())
+    assert 0.5 < report.mean_rate < 1.0
 
 
 def test_positive_scaling_keeps_predictions():
-    chain = sample_chain(10, seed=33)
-    w = to_linear(chain).weights
-    chal = all_challenges(10)
-    X = feature_matrix(chal)
-    base = predict_bits(w, X)
-    for s in (0.001, 3.7, 1000.0):
-        assert np.array_equal(predict_bits(s * w, X), base)
-    assert not np.array_equal(predict_bits(-w, X), base)
+    """A one-update fit is -lr times the first gradient, so every lr > 0
+    gives positively scaled weights and the same predictions."""
+    crps = generate_crps(16, 500, width=4, seed=33)
+    base = attack_dataset(crps, test_fraction=0.25, tol=10.0, seed=3)
+    assert base.epochs_run == (1,) * 4
+    for lr in (0.001, 3.7, 1000.0):
+        scaled = attack_dataset(crps, test_fraction=0.25, lr=lr, tol=10.0,
+                                seed=3)
+        assert scaled.epochs_run == base.epochs_run
+        assert scaled.per_bit_rate == base.per_bit_rate
+        assert scaled.word_exact_rate == base.word_exact_rate
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +352,20 @@ def test_attack_word_report_invariants():
 
 
 def test_attack_matches_per_bit_training():
-    """The batched multi-column fit scores like eight independent fits."""
+    """The batched multi-column fit scores like eight independent fits.
+
+    The split depends only on the row count and the seed, so attacking each
+    one-bit dataset with the same seed trains and tests on the same rows.
+    """
     crps = generate_crps(32, 2000, width=8, seed=808)
     report = attack_dataset(crps, test_fraction=0.2, seed=11)
-    train, test = split_crps(crps, 0.2, seed=11)
-    Xtr = feature_matrix(train.challenges)
-    Xte = feature_matrix(test.challenges)
     for j in range(8):
-        model = train_logistic(Xtr, train.responses[:, j].astype(float))
-        rate = np.mean(predict_bits(model.theta, Xte) == test.responses[:, j])
-        assert rate == pytest.approx(report.per_bit_rate[j], abs=0.01)
+        one = attack_dataset(CrpSet(crps.challenges, crps.responses[:, [j]]),
+                             test_fraction=0.2, seed=11)
+        assert one.per_bit_rate[0] == pytest.approx(report.per_bit_rate[j],
+                                                    abs=0.01)
+        assert one.final_loss[0] == pytest.approx(report.final_loss[j],
+                                                  rel=1e-9)
 
 
 def test_attack_report_says_how_each_bit_ended():

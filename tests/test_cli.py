@@ -64,6 +64,31 @@ def test_generate_validation_errors(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command,flag,value,reason", [
+    ("generate", "--count", "0", "must be >= 1"),
+    ("generate", "--seed", "-1", "must be >= 0"),
+    ("generate", "--delay-sigma", "0", "must be > 0"),
+    ("generate", "--noise-sigma", "-1", "must be >= 0"),
+    ("attack", "--test", "1", "must be strictly between 0 and 1"),
+    ("generate", "--count", "2.5",
+     "invalid literal for int() with base 10: '2.5'"),
+    ("generate", "--delay-sigma", "abc",
+     "could not convert string to float: 'abc'"),
+    ("generate", "--delay-mean", "nan", "must be finite"),
+    ("generate", "--noise-sigma", "inf", "must be finite"),
+    ("attack", "--test", "nan", "must be finite"),
+])
+def test_number_option_error_lines(tmp_path, capsys, command, flag, value,
+                                   reason):
+    out = tmp_path / "x.csv"
+    argv = ([command, str(out)] if command == "attack"
+            else [command, "--n", "16", "--count", "5", "-o", str(out)])
+    code, stdout, err = run(capsys, *argv, flag, value)
+    assert code == 1 and stdout == ""
+    assert err == f"puflab: error: bad value for {flag}: {reason}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # attack
 
@@ -243,6 +268,24 @@ def test_oracle_check_default_scope(capsys):
     assert any(l.startswith("n=12:") for l in lines)
     assert any("challenges (random)" in l for l in lines)
     assert lines[-1].endswith("mismatches / 8240 checks")  # 2^1..2^12 + 50
+
+
+def test_oracle_check_random_count_zero(capsys):
+    # above 16 stages the random pass is the only one, so it cannot be empty
+    code, stdout, err = run(capsys, "oracle-check", "--n", "20", "--chains", "1",
+                            "--random-count", "0")
+    assert code == 1 and stdout == ""
+    assert err == ("puflab: error: --random-count must be >= 1 when --n is "
+                   "above 16\n")
+    code, stdout, _ = run(capsys, "oracle-check", "--n", "20", "--chains", "1",
+                          "--random-count", "3")
+    assert code == 0 and stdout.splitlines()[-1] == "0 mismatches / 3 checks"
+    # without --n a zero count skips the random pass
+    code, stdout, _ = run(capsys, "oracle-check", "--chains", "1",
+                          "--random-count", "0")
+    assert code == 0
+    assert not any("challenges (random)" in l for l in stdout.splitlines())
+    assert stdout.splitlines()[-1] == "0 mismatches / 8190 checks"
 
 
 def test_oracle_check_corrupt_hook_names_culprits(capsys, monkeypatch):

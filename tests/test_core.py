@@ -47,7 +47,6 @@ def test_sample_chain_shape_and_determinism():
     assert chain.n_stages == 8
     assert chain.delays.shape == (8, 4)
     assert chain.seed == 42
-    assert chain.params == DelayParams()
     assert np.array_equal(chain.delays, sample_chain(8, seed=42).delays)
     assert not np.array_equal(chain.delays, sample_chain(8, seed=43).delays)
     custom = sample_chain(4, params=DelayParams(3.0, 0.1), seed=1)
