@@ -65,6 +65,12 @@ def _check_xy(X, y):
     return X, y
 
 
+def _check_hyperparameters(lr=DEFAULT_LR, epochs=1, l2=0.0, tol=0.0):
+    """Reject what would run to NaN losses or a silently wrong fit."""
+    if not (0 < lr < np.inf and epochs >= 1 and tol >= 0 and 0 <= l2 < np.inf):
+        raise ValueError("need finite lr > 0, epochs >= 1, tol >= 0, finite l2 >= 0")
+
+
 def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
     """Mean cross-entropy of sigmoid(X @ weights) against 0/1 labels.
 
@@ -73,6 +79,7 @@ def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
     softplus(z) - y * z, which never overflows.
     """
     X, y = _check_xy(X, y)
+    _check_hyperparameters(l2=l2)
     weights = np.asarray(weights, dtype=np.float64)
     z = X @ weights
     m = X.shape[0]
@@ -85,6 +92,7 @@ def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
 def gradient(weights, X, y, l2: float = 0.0) -> np.ndarray:
     """Analytic gradient of ``cross_entropy`` with respect to the weights."""
     X, y = _check_xy(X, y)
+    _check_hyperparameters(l2=l2)
     weights = np.asarray(weights, dtype=np.float64)
     m = X.shape[0]
     g = X.T @ (sigmoid(X @ weights) - y) / m
@@ -107,8 +115,7 @@ def _descend(X, Y, lr, epochs, l2, tol):
     column count and the output buffer.  Elementwise steps reuse per-fit
     scratch, as fresh (m, k) temporaries page-fault when the heap is trimmed.
     """
-    if not (0 < lr < np.inf and epochs >= 1 and tol >= 0 and 0 <= l2 < np.inf):
-        raise ValueError("need finite lr > 0, epochs >= 1, tol >= 0, finite l2 >= 0")
+    _check_hyperparameters(lr, epochs, l2, tol)
     m, d = X.shape
     k = Y.shape[1]
     theta = np.zeros((d, k))

@@ -22,6 +22,11 @@ differences and ``MultiBitPuf.noise`` one read-out's per-chain disturbances,
 with ``respond(c, s) == (delta(c) + noise(len(c), s) > 0)``, so delay products
 are computed once for many noise seeds; ``MultiBitPuf.delta_of_features``
 takes parity features, so one challenge set is encoded once for many banks.
+
+Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``.
+Its generator state comes from one batched pass of numpy's SeedSequence hash
+over many keys at once, exactly equal to building the SeedSequences one by
+one, so a study seeds every stream it reads in two passes.
 """
 
 from __future__ import annotations
@@ -76,6 +81,90 @@ def derive_seed(master, *key) -> int:
     spawn = tuple(int(k) for k in key)
     ss = np.random.SeedSequence(master, spawn_key=spawn)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# numpy.random.SeedSequence's constants: O'Neill's seed_seq hash, whose output
+# NEP 19 keeps stable, so one pass over uint32 words in uint64 arrays gives the
+# same seeds as one SeedSequence per row.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
+
+
+def _generate_state(entropy, n_words):
+    """(rows, n_words) uint64: ``generate_state(n_words, np.uint64)`` of the
+    SeedSequence whose assembled entropy is each row of ``entropy``, 32-bit
+    words in a (rows, >= 4) uint64 array."""
+    def hashmix(value):   # takes the next hash constant per call, as numpy's loop
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ x >> 16
+    const, mult = _INIT_A, _MULT_A
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const, mult = _INIT_B, _MULT_B
+    words = [hashmix(pool[i % 4]) for i in range(2 * n_words)]
+    return np.column_stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])])
+
+
+def _seed_entropy(seeds):
+    """(rows, 4) entropy words of uint64 seeds: low word, high word, padding."""
+    zero = np.zeros_like(seeds)
+    return np.column_stack([seeds & _MASK32, seeds >> 32, zero, zero])
+
+
+def _derive_seeds(master, keys) -> np.ndarray:
+    """``derive_seed(master, *key)`` for every row of a (rows, depth) key array,
+    as uint64.  A non-negative int master of any size is hashed with all the
+    keys in one pass; other entropy, or a key from 2**32 up, takes
+    ``derive_seed`` row by row."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not (isinstance(master, (int, np.integer)) and master >= 0
+            and keys.max(initial=0) <= _MASK32):
+        return np.array([derive_seed(master, *key) for key in keys.tolist()],
+                        dtype=np.uint64)
+    master = int(master)   # its 32-bit words, zero-padded to SeedSequence's 4
+    words = [master >> s & _MASK32 for s in range(0, max(master.bit_length(), 128), 32)]
+    entropy = np.tile(np.array(words, dtype=np.uint64), (len(keys), 1))
+    return _generate_state(np.hstack([entropy, keys]), 1)[:, 0]
+
+
+def _rng_words(seeds):
+    """(rows, 4) uint64 words that ``default_rng(seed)`` seeds its PCG64 from,
+    for every uint64 seed: 32 bytes per noise stream until it is drawn."""
+    return _generate_state(_seed_entropy(seeds), 4)
+
+
+def _chain_streams(noise_seeds, width):
+    """(len(noise_seeds), width, 4) ``_rng_words``: entry (r, k) seeds chain
+    k's stream under ``noise_seeds[r]``, ``default_rng(derive_seed(s, k))``."""
+    entropy = _seed_entropy(np.repeat(noise_seeds, width))
+    chains = np.tile(np.arange(width, dtype=np.uint64), len(noise_seeds))
+    seeds = _generate_state(np.column_stack([entropy, chains]), 1)[:, 0]
+    return _rng_words(seeds).reshape(-1, width, 4)
+
+
+def _pcg64_state(words) -> dict:
+    """``default_rng(seed).bit_generator.state`` from the seed's row of
+    ``_rng_words``: PCG64's srandom_r step, on Python ints."""
+    seed, inc = (int(words[0]) << 64 | int(words[1]), int(words[2]) << 64 | int(words[3]))
+    inc = (inc << 1 | 1) & _MASK128
+    state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def _as_batch(challenges, n: int):
@@ -204,13 +293,16 @@ class MultiBitPuf:
     def seed(self):
         return self._seed
 
-    def _streams(self, noise_seed):
-        """(k, sigma, rng) for every noisy chain; chain k draws from
-        ``derive_seed(noise_seed, k)``.  None gives no streams."""
-        if noise_seed is None:
+    def _streams(self, noise_seed=None, words=None):
+        """[k, sigma, state] for every noisy chain: chain k draws from
+        ``default_rng(derive_seed(noise_seed, k))``, whose generator state comes
+        from row k of ``words`` when a study passes these ``_rng_words``
+        precomputed for many seeds at once.  No seed and no words give none."""
+        if words is None and noise_seed is not None and self._noise:
+            words = _rng_words(_derive_seeds(noise_seed, np.arange(self.width)[:, None]))
+        if words is None:
             return []
-        return [(k, sigma, np.random.default_rng(derive_seed(noise_seed, k)))
-                for k, sigma in self._noise]
+        return [[k, sigma, _pcg64_state(words[k])] for k, sigma in self._noise]
 
     def delta(self, challenges) -> np.ndarray:
         """Noise-free differences, (m, width) or (width,) for one challenge;
@@ -236,9 +328,16 @@ class MultiBitPuf:
         ``noise_seed``: column k is chain k's sigma times its stream's first m
         standard normals, and 0 for a quiet chain (or for ``noise_seed=None``),
         so ``respond(c, s)`` is ``delta(c) + noise(len(c), s) > 0``."""
+        return self._draw(m, self._streams(noise_seed), np.random.default_rng())
+
+    def _draw(self, m: int, streams, rng) -> np.ndarray:
+        """The next m rows of noise from ``_streams``: each stream's state is
+        loaded into the reused generator ``rng``, drawn from and saved back."""
         out = np.zeros((m, self.width))
-        for k, sigma, rng in self._streams(noise_seed):
+        for stream in streams:
+            k, sigma, rng.bit_generator.state = stream
             out[:, k] = sigma * rng.standard_normal(m)
+            stream[2] = rng.bit_generator.state
         return out
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
@@ -250,12 +349,13 @@ class MultiBitPuf:
         """
         bits, single = _as_batch(challenges, self.n_stages)
         streams = self._streams(noise_seed)
+        rng = np.random.default_rng() if streams else None
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
             diff = feature_matrix(block, "parity") @ self._weights
-            for k, sigma, rng in streams:
-                diff[:, k] += sigma * rng.standard_normal(block.shape[0])
+            if streams:
+                diff += self._draw(block.shape[0], streams, rng)
             out[start:start + BLOCK_ROWS] = diff > 0
         return out[0] if single else out
 

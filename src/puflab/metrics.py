@@ -16,7 +16,11 @@ copies of the same disturbances and comparable reliabilities.  The shared
 challenges are encoded once (m * (n+1) * 8 bytes of parity features, 0.5 MB at
 1000 x 64) and each instance's delay differences once; each noisy repeat adds
 its disturbances and is scored before the next, so memory does not grow with
-repeats.  A noise-free study runs no repeats.
+repeats.  A noise-free study runs no repeats.  The generator states of all
+instances x repeats x width noise streams come from two batched passes up
+front, 32 bytes a stream, exactly equal to ``default_rng(derive_seed(s, k))``.
+Without a seed the study draws one fresh master seed and derives everything
+from it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import _bit_array
-from .core import DelayParams, derive_seed, random_challenges, sample_multibit
+from .core import (DelayParams, _chain_streams, _derive_seeds, derive_seed,
+                   random_challenges, sample_multibit)
 from .features import feature_matrix
 
 __all__ = [
@@ -135,7 +140,7 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
     noisy read-outs use ``derive_seed(seed, 2, i, t)``; the challenge set
     comes from ``derive_seed(seed, 1)``.  None of these depend on
     ``noise_sigma``, which is what makes reliabilities comparable across
-    noise levels.
+    noise levels.  ``seed=None`` stands for one fresh master seed.
     """
     if instances < 2:
         raise ValueError("need at least two instances")
@@ -143,18 +148,24 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("challenges and repeats must be >= 1")
     if noise_sigma > 0 and repeats < 2:
         raise ValueError("a noisy reliability study needs at least two repeats")
-    chal = random_challenges(challenges, n, seed=derive_seed(seed, 1))
+    master = np.random.SeedSequence().entropy if seed is None else seed
+    # the noisy read-outs (i, t), keyed (2, i, t), and each one's chain streams
+    reads = np.indices((instances, repeats if noise_sigma > 0 else 0)).reshape(2, -1).T
+    noise_seeds = _derive_seeds(master, np.insert(reads, 0, 2, axis=1))
+    streams = _chain_streams(noise_seeds, width).reshape(instances, -1, width, 4)
+    rng = np.random.default_rng()   # each stream loads its own state into it
+    chal = random_challenges(challenges, n, seed=derive_seed(master, 1))
     feats = feature_matrix(chal, "parity")
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
     flips = 0
     for i in range(instances):
         puf = sample_multibit(n, width, params=params,
-                              seed=derive_seed(seed, 0, i),
+                              seed=derive_seed(master, 0, i),
                               noise_sigma=noise_sigma)
         diff = puf.delta_of_features(feats)
         ref = stack[i] = diff > 0
-        for t in range(repeats if noise_sigma > 0 else 0):
-            noise = puf.noise(challenges, derive_seed(seed, 2, i, t))
+        for words in streams[i]:
+            noise = puf._draw(challenges, puf._streams(words=words), rng)
             flips += np.count_nonzero((diff + noise > 0) != ref)
     return QualityReport(
         n_stages=n,

@@ -142,6 +142,17 @@ def test_xy_validation():
         CrpSet([[0, 1], [1, 0]], [[0.0], [0.5]])
 
 
+@pytest.mark.parametrize("l2", [np.nan, np.inf, -5.0])
+@pytest.mark.parametrize("numeric", [cross_entropy, gradient])
+def test_loss_and_gradient_reject_bad_l2(numeric, l2):
+    # l2=nan once gave a nan loss and l2=-5 a loss below the unpenalised one
+    rng = np.random.default_rng(6)
+    X = feature_matrix(rng.integers(0, 2, size=(30, 5)))
+    y = rng.integers(0, 2, size=30).astype(float)
+    with pytest.raises(ValueError, match="finite l2 >= 0"):
+        numeric(rng.normal(size=6), X, y, l2=l2)
+
+
 @pytest.mark.parametrize("bad", [{"lr": 0.0}, {"epochs": 0}, {"lr": np.nan},
                                  {"lr": np.inf}, {"l2": np.nan}, {"l2": -5.0},
                                  {"tol": np.nan}],

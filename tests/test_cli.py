@@ -56,11 +56,13 @@ def test_generate_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--n", "16", "--count", "5",
                        "--delay-sigma", "0", "-o", str(tmp_path / "x.csv"))
     assert code == 1
+    # joined with '=', since argparse reads a separate '-inf' as an option
     for flag in ("--noise-sigma", "--delay-mean", "--delay-sigma"):
         for value in ("nan", "inf", "-inf"):
             code, _, err = run(capsys, "generate", "--n", "16", "--count", "5",
-                               flag, value, "-o", str(tmp_path / "x.csv"))
-            assert code == 1 and flag in err
+                               f"{flag}={value}", "-o", str(tmp_path / "x.csv"))
+            assert code == 1
+            assert err == f"puflab: error: bad value for {flag}: must be finite\n"
     assert not (tmp_path / "x.csv").exists()
 
 

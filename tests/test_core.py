@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
-                         MultiBitPuf, all_challenges, derive_seed,
+                         MultiBitPuf, _chain_streams, _derive_seeds,
+                         _pcg64_state, _rng_words, all_challenges, derive_seed,
                          linear_disagreements, random_challenges, sample_chain,
                          sample_multibit, to_linear)
 from puflab.features import feature_matrix
@@ -22,6 +25,46 @@ def test_derive_seed_is_deterministic_and_keyed():
     assert derive_seed(1, 0) != derive_seed(1, 0, 0)
     assert derive_seed(7, np.int64(4)) == derive_seed(7, 4)
     assert 0 <= derive_seed(0) < 2 ** 64
+
+
+MASTERS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128 + 3,
+           np.random.SeedSequence().entropy)
+KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
+    st.lists(st.integers(0, 2 ** 32 - 1), min_size=depth, max_size=depth),
+    min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=st.sampled_from(MASTERS), keys=KEY_ROWS)
+def test_batched_stream_seeds_equal_seed_sequence(master, keys):
+    """One hashing pass over many keys gives every derived seed, every
+    default_rng state and every normal of one SeedSequence per key."""
+    seeds = _derive_seeds(master, keys)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, *key) for key in keys]
+    got = np.random.default_rng()
+    for seed, words in zip(seeds.tolist(), _rng_words(seeds)):
+        want = np.random.default_rng(seed)
+        got.bit_generator.state = _pcg64_state(words)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.standard_normal(1000), want.standard_normal(1000))
+    width = len(keys[0])
+    streams = _chain_streams(seeds, width)
+    assert streams.shape == (len(keys), width, 4)
+    for seed, row in zip(seeds.tolist(), streams):
+        for k, words in enumerate(row):
+            want = np.random.default_rng(derive_seed(seed, k))
+            assert _pcg64_state(words) == want.bit_generator.state
+
+
+def test_batched_seeds_take_any_master_and_key():
+    for master, keys in (([3, 4], [[0], [5]]), (7, [[2 ** 32, 1], [0, 2 ** 40]]),
+                         (np.uint64(9), [[1]])):
+        assert _derive_seeds(master, keys).tolist() == [derive_seed(master, *k)
+                                                        for k in keys]
+    with pytest.raises(ValueError):
+        _derive_seeds(-1, [[0]])
+    assert _derive_seeds(5, np.empty((0, 3))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
