@@ -17,16 +17,16 @@ disturbance added to the final delay difference.
 A multi-bit instance is a bank of independent chains sharing one challenge,
 one response bit per chain.  The bank folds its chains once, when built, and
 responds through the folded weights; ``ArbiterChain.delta`` keeps the race as
-the reference oracle for the fold.  ``MultiBitPuf.delta`` gives noise-free
-differences and ``MultiBitPuf.noise`` one read-out's per-chain disturbances,
-with ``respond(c, s) == (delta(c) + noise(len(c), s) > 0)``, so delay products
-are computed once for many noise seeds; ``MultiBitPuf.delta_of_features``
-takes parity features, so one challenge set is encoded once for many banks.
+the reference oracle for the fold.  ``MultiBitPuf.respond(c, s)`` is the
+read-out; ``MultiBitPuf.delta_of_features`` gives the noise-free differences
+of parity features, ``delta_of_features(feature_matrix(c)) > 0`` being
+``respond(c)``, so one challenge set is encoded once for many banks.
 
-Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``.
-Its generator state comes from one batched pass of numpy's SeedSequence hash
-over many keys at once, exactly equal to building the SeedSequences one by
-one, so a study seeds every stream it reads in two passes.
+Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
+for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` seeds
+many streams in one batched pass of numpy's SeedSequence hash, exactly equal
+to building the SeedSequences one by one, so a study seeds every stream it
+reads in two passes.
 """
 
 from __future__ import annotations
@@ -142,24 +142,19 @@ def _derive_seeds(master, keys) -> np.ndarray:
     return _generate_state(np.hstack([entropy, keys]), 1)[:, 0]
 
 
-def _rng_words(seeds):
-    """(rows, 4) uint64 words that ``default_rng(seed)`` seeds its PCG64 from,
-    for every uint64 seed: 32 bytes per noise stream until it is drawn."""
-    return _generate_state(_seed_entropy(seeds), 4)
-
-
 def _chain_streams(noise_seeds, width):
-    """(len(noise_seeds), width, 4) ``_rng_words``: entry (r, k) seeds chain
-    k's stream under ``noise_seeds[r]``, ``default_rng(derive_seed(s, k))``."""
-    entropy = _seed_entropy(np.repeat(noise_seeds, width))
+    """(len(noise_seeds), width, 4) uint64: entry (r, k) holds the 4 words that
+    seed the PCG64 of ``default_rng(derive_seed(noise_seeds[r], k))``, chain
+    k's stream under uint64 seed ``noise_seeds[r]``: 32 bytes until drawn."""
+    entropy = _seed_entropy(np.repeat(np.asarray(noise_seeds, dtype=np.uint64), width))
     chains = np.tile(np.arange(width, dtype=np.uint64), len(noise_seeds))
     seeds = _generate_state(np.column_stack([entropy, chains]), 1)[:, 0]
-    return _rng_words(seeds).reshape(-1, width, 4)
+    return _generate_state(_seed_entropy(seeds), 4).reshape(-1, width, 4)
 
 
 def _pcg64_state(words) -> dict:
-    """``default_rng(seed).bit_generator.state`` from the seed's row of
-    ``_rng_words``: PCG64's srandom_r step, on Python ints."""
+    """``default_rng(seed).bit_generator.state`` from the stream's 4 words in
+    ``_chain_streams``: PCG64's srandom_r step, on Python ints."""
     seed, inc = (int(words[0]) << 64 | int(words[1]), int(words[2]) << 64 | int(words[3]))
     inc = (inc << 1 | 1) & _MASK128
     state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
@@ -193,9 +188,9 @@ class ArbiterChain:
     noise-free reference.
     """
 
-    __slots__ = ("_delays", "_noise_sigma", "_seed")
+    __slots__ = ("_delays", "_noise_sigma")
 
-    def __init__(self, delays, noise_sigma: float = 0.0, seed=None):
+    def __init__(self, delays, noise_sigma: float = 0.0):
         delays = np.array(delays, dtype=np.float64)
         if delays.ndim != 2 or delays.shape[1] != 4 or delays.shape[0] < 1:
             raise ValueError("delays must have shape (n, 4) with n >= 1")
@@ -206,7 +201,6 @@ class ArbiterChain:
         delays.setflags(write=False)
         self._delays = delays
         self._noise_sigma = float(noise_sigma)
-        self._seed = seed
 
     @property
     def n_stages(self) -> int:
@@ -220,10 +214,6 @@ class ArbiterChain:
     @property
     def noise_sigma(self) -> float:
         return self._noise_sigma
-
-    @property
-    def seed(self):
-        return self._seed
 
     def delta(self, challenges, noise_seed=None) -> np.ndarray:
         """Final arrival-time difference (bottom - top) for each challenge."""
@@ -248,8 +238,7 @@ class ArbiterChain:
         return _threshold(self.delta(challenges, noise_seed=noise_seed))
 
     def __repr__(self):
-        return (f"ArbiterChain(n_stages={self.n_stages}, "
-                f"noise_sigma={self._noise_sigma}, seed={self._seed!r})")
+        return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self._noise_sigma})"
 
 
 class MultiBitPuf:
@@ -262,9 +251,9 @@ class MultiBitPuf:
     matrix, not from the race.
     """
 
-    __slots__ = ("_chains", "_seed", "_weights", "_noise")
+    __slots__ = ("_chains", "_weights", "_noise")
 
-    def __init__(self, chains, seed=None):
+    def __init__(self, chains):
         chains = tuple(chains)
         if not chains:
             raise ValueError("need at least one chain")
@@ -272,7 +261,6 @@ class MultiBitPuf:
         if any(c.n_stages != n for c in chains):
             raise ValueError("all chains must have the same number of stages")
         self._chains = chains
-        self._seed = seed
         self._weights = np.column_stack([to_linear(c).weights for c in chains])
         self._noise = [(k, c.noise_sigma) for k, c in enumerate(chains)
                        if c.noise_sigma > 0.0]
@@ -289,32 +277,15 @@ class MultiBitPuf:
     def n_stages(self) -> int:
         return self._chains[0].n_stages
 
-    @property
-    def seed(self):
-        return self._seed
-
-    def _streams(self, noise_seed=None, words=None):
-        """[k, sigma, state] for every noisy chain: chain k draws from
-        ``default_rng(derive_seed(noise_seed, k))``, whose generator state comes
-        from row k of ``words`` when a study passes these ``_rng_words``
-        precomputed for many seeds at once.  No seed and no words give none."""
-        if words is None and noise_seed is not None and self._noise:
-            words = _rng_words(_derive_seeds(noise_seed, np.arange(self.width)[:, None]))
-        if words is None:
-            return []
+    def _streams(self, words):
+        """[k, sigma, state] for every noisy chain, the state seeded from
+        ``words[k]``: one noise seed's row of ``_chain_streams``."""
         return [[k, sigma, _pcg64_state(words[k])] for k, sigma in self._noise]
 
-    def delta(self, challenges) -> np.ndarray:
-        """Noise-free differences, (m, width) or (width,) for one challenge;
-        column k is ``chains[k].delta(c)`` up to rounding, ``delta(c) > 0`` is
-        ``respond(c)``.  It encodes the whole batch: m * (n+1) * 8 bytes."""
-        bits, single = _as_batch(challenges, self.n_stages)
-        out = self.delta_of_features(feature_matrix(bits, "parity"))
-        return out[0] if single else out
-
     def delta_of_features(self, feats) -> np.ndarray:
-        """(m, width) ``delta`` of an (m, n+1) parity feature matrix, in the same
-        ``BLOCK_ROWS`` products as ``respond``: ``delta(c)`` bit for bit."""
+        """(m, width) noise-free differences of an (m, n+1) parity feature
+        matrix, in the same ``BLOCK_ROWS`` products as ``respond``: column k is
+        ``chains[k].delta(c)`` up to rounding, and ``> 0`` is ``respond(c)``."""
         if np.ndim(feats) != 2 or np.shape(feats)[1] != self.n_stages + 1:
             raise ValueError(f"features must have shape (m, {self.n_stages + 1})")
         out = np.empty((len(feats), self.width))
@@ -322,13 +293,6 @@ class MultiBitPuf:
             out[start:start + BLOCK_ROWS] = (feats[start:start + BLOCK_ROWS]
                                              @ self._weights)
         return out
-
-    def noise(self, m: int, noise_seed) -> np.ndarray:
-        """The (m, width) disturbances ``respond`` adds to m rows under
-        ``noise_seed``: column k is chain k's sigma times its stream's first m
-        standard normals, and 0 for a quiet chain (or for ``noise_seed=None``),
-        so ``respond(c, s)`` is ``delta(c) + noise(len(c), s) > 0``."""
-        return self._draw(m, self._streams(noise_seed), np.random.default_rng())
 
     def _draw(self, m: int, streams, rng) -> np.ndarray:
         """The next m rows of noise from ``_streams``: each stream's state is
@@ -346,9 +310,14 @@ class MultiBitPuf:
         Under noise every chain draws its own disturbance from a seed derived
         per chain index, so a word is reproducible from ``noise_seed`` alone
         and bit k matches ``chains[k].respond(c, derive_seed(noise_seed, k))``.
+        ``noise_seed`` is None or an int in [0, 2**64).
         """
         bits, single = _as_batch(challenges, self.n_stages)
-        streams = self._streams(noise_seed)
+        if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
+                                           and 0 <= int(noise_seed) < 2 ** 64):
+            raise ValueError("noise_seed must be None or an int in [0, 2**64)")
+        streams = (self._streams(_chain_streams([noise_seed], self.width)[0])
+                   if noise_seed is not None and self._noise else [])
         rng = np.random.default_rng() if streams else None
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
@@ -360,8 +329,7 @@ class MultiBitPuf:
         return out[0] if single else out
 
     def __repr__(self):
-        return (f"MultiBitPuf(width={self.width}, n_stages={self.n_stages}, "
-                f"seed={self._seed!r})")
+        return f"MultiBitPuf(width={self.width}, n_stages={self.n_stages})"
 
 
 class LinearModel:
@@ -405,7 +373,7 @@ def sample_chain(n: int, params: DelayParams = None, seed=None,
         params = DelayParams()
     rng = np.random.default_rng(seed)
     delays = rng.normal(params.mean, params.sigma, size=(n, 4))
-    return ArbiterChain(delays, noise_sigma=noise_sigma, seed=seed)
+    return ArbiterChain(delays, noise_sigma=noise_sigma)
 
 
 def sample_multibit(n: int, width: int = None, params: DelayParams = None,
@@ -422,7 +390,7 @@ def sample_multibit(n: int, width: int = None, params: DelayParams = None,
     chains = [sample_chain(n, params=params, seed=derive_seed(seed, k),
                            noise_sigma=noise_sigma)
               for k in range(width)]
-    return MultiBitPuf(chains, seed=seed)
+    return MultiBitPuf(chains)
 
 
 def to_linear(chain: ArbiterChain) -> LinearModel:

@@ -16,11 +16,11 @@ copies of the same disturbances and comparable reliabilities.  The shared
 challenges are encoded once (m * (n+1) * 8 bytes of parity features, 0.5 MB at
 1000 x 64) and each instance's delay differences once; each noisy repeat adds
 its disturbances and is scored before the next, so memory does not grow with
-repeats.  A noise-free study runs no repeats.  The generator states of all
+repeats.  A noise-free study runs no repeats.  The generator words of all
 instances x repeats x width noise streams come from two batched passes up
 front, 32 bytes a stream, exactly equal to ``default_rng(derive_seed(s, k))``.
-Without a seed the study draws one fresh master seed and derives everything
-from it.
+Without a seed the study draws one fresh master seed, derives everything from
+it and reports it as its seed, so the study can be rerun.
 """
 
 from __future__ import annotations
@@ -140,12 +140,14 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
     noisy read-outs use ``derive_seed(seed, 2, i, t)``; the challenge set
     comes from ``derive_seed(seed, 1)``.  None of these depend on
     ``noise_sigma``, which is what makes reliabilities comparable across
-    noise levels.  ``seed=None`` stands for one fresh master seed.
+    noise levels.  ``seed=None`` draws a fresh master seed, the report's ``seed``.
     """
     if instances < 2:
         raise ValueError("need at least two instances")
     if challenges < 1 or repeats < 1:
         raise ValueError("challenges and repeats must be >= 1")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     if noise_sigma > 0 and repeats < 2:
         raise ValueError("a noisy reliability study needs at least two repeats")
     master = np.random.SeedSequence().entropy if seed is None else seed
@@ -165,7 +167,7 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         diff = puf.delta_of_features(feats)
         ref = stack[i] = diff > 0
         for words in streams[i]:
-            noise = puf._draw(challenges, puf._streams(words=words), rng)
+            noise = puf._draw(challenges, puf._streams(words), rng)
             flips += np.count_nonzero((diff + noise > 0) != ref)
     return QualityReport(
         n_stages=n,
@@ -174,7 +176,7 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         challenges=challenges,
         repeats=repeats,
         noise_sigma=noise_sigma,
-        seed=seed,
+        seed=master,
         uniformity=uniformity(stack.reshape(instances, -1)),
         uniqueness=uniqueness(stack),
         reliability=_reliability(flips, repeats * stack.size),

@@ -237,6 +237,18 @@ def test_metrics_noise_free_run(tmp_path, capsys):
     assert out.read_text().splitlines() == stdout.splitlines()
 
 
+def test_metrics_seedless_run_prints_its_master_seed(capsys):
+    args = ["metrics", "--n", "16", "--instances", "3", "--challenges", "50",
+            "--repeats", "2", "--noise-sigma", "0.3"]
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    seed = next(line.split()[1] for line in first.splitlines()
+                if line.startswith("seed "))
+    assert seed != "-"
+    code, again, _ = run(capsys, *args, "--seed", seed)
+    assert code == 0 and again == first
+
+
 def test_metrics_validation(capsys):
     code, _, err = run(capsys, "metrics", "--n", "8", "--instances", "1",
                        "--challenges", "30", "--seed", "3")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
                          MultiBitPuf, _chain_streams, _derive_seeds,
-                         _pcg64_state, _rng_words, all_challenges, derive_seed,
+                         _pcg64_state, all_challenges, derive_seed,
                          linear_disagreements, random_challenges, sample_chain,
                          sample_multibit, to_linear)
 from puflab.features import feature_matrix
@@ -37,24 +37,23 @@ KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
 @settings(max_examples=60, deadline=None)
 @given(master=st.sampled_from(MASTERS), keys=KEY_ROWS)
 def test_batched_stream_seeds_equal_seed_sequence(master, keys):
-    """One hashing pass over many keys gives every derived seed, every
-    default_rng state and every normal of one SeedSequence per key."""
+    """One hashing pass over many keys gives every derived seed, and one over
+    their chains every default_rng state and every normal of one SeedSequence
+    per chain stream."""
     seeds = _derive_seeds(master, keys)
     assert seeds.dtype == np.uint64
     assert seeds.tolist() == [derive_seed(master, *key) for key in keys]
-    got = np.random.default_rng()
-    for seed, words in zip(seeds.tolist(), _rng_words(seeds)):
-        want = np.random.default_rng(seed)
-        got.bit_generator.state = _pcg64_state(words)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(got.standard_normal(1000), want.standard_normal(1000))
     width = len(keys[0])
     streams = _chain_streams(seeds, width)
     assert streams.shape == (len(keys), width, 4)
+    got = np.random.default_rng()
     for seed, row in zip(seeds.tolist(), streams):
         for k, words in enumerate(row):
             want = np.random.default_rng(derive_seed(seed, k))
-            assert _pcg64_state(words) == want.bit_generator.state
+            got.bit_generator.state = _pcg64_state(words)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.standard_normal(1000),
+                                  want.standard_normal(1000))
 
 
 def test_batched_seeds_take_any_master_and_key():
@@ -89,7 +88,6 @@ def test_sample_chain_shape_and_determinism():
     chain = sample_chain(8, seed=42)
     assert chain.n_stages == 8
     assert chain.delays.shape == (8, 4)
-    assert chain.seed == 42
     assert np.array_equal(chain.delays, sample_chain(8, seed=42).delays)
     assert not np.array_equal(chain.delays, sample_chain(8, seed=43).delays)
     custom = sample_chain(4, params=DelayParams(3.0, 0.1), seed=1)
@@ -268,19 +266,23 @@ def test_multibit_width_and_chain_reconstruction():
         assert np.array_equal(narrow.chains[k].delays, rebuilt.delays)
 
 
+def _assert_chain_read_outs(puf, chal, noise_seed):
+    """Column k of the bank's read-out is chain k's race under its own seed."""
+    words = puf.respond(chal, noise_seed=noise_seed)
+    assert words.shape == (len(chal), puf.width)
+    for k, chain in enumerate(puf.chains):
+        child = None if noise_seed is None else derive_seed(noise_seed, k)
+        assert np.array_equal(words[:, k], chain.respond(chal, noise_seed=child))
+    return words
+
+
 def test_multibit_word_is_per_chain_bits():
     """The bank's folded weights answer like each chain's race, bit for bit,
     over several evaluation blocks and with per-chain noise streams."""
-    m = 2 * BLOCK_ROWS + 37
     puf = sample_multibit(8, width=5, seed=31, noise_sigma=0.4)
-    chal = random_challenges(m, 8, seed=32)
-    for noise_seed in (None, 99):
-        words = puf.respond(chal, noise_seed=noise_seed)
-        assert words.shape == (m, 5)
-        for k, chain in enumerate(puf.chains):
-            child = None if noise_seed is None else derive_seed(noise_seed, k)
-            assert np.array_equal(words[:, k],
-                                  chain.respond(chal, noise_seed=child))
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=32)
+    _assert_chain_read_outs(puf, chal, None)
+    words = _assert_chain_read_outs(puf, chal, 99)
     assert np.any(words != puf.respond(chal))
     single = puf.respond(chal[0])
     assert single.shape == (5,)
@@ -293,31 +295,26 @@ def _mixed_bank():
                        for k, s in enumerate((0.4, 0.0, 1.5, 0.0, 0.2)))
 
 
-def test_multibit_respond_is_delta_plus_noise():
-    m = 2 * BLOCK_ROWS + 37
+def test_mixed_bank_columns_are_chain_read_outs():
+    """Quiet chains beside noisy ones, over three blocks."""
     puf = _mixed_bank()
-    chal = random_challenges(m, 8, seed=42)
-    diff = puf.delta(chal)
-    assert diff.shape == (m, 5)
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=42)
     for noise_seed in (None, 7, 123456789):
-        want = (diff + puf.noise(m, noise_seed) > 0).astype(np.uint8)
-        assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), want)
-    assert np.array_equal(puf.delta(chal[3]), diff[3])
+        _assert_chain_read_outs(puf, chal, noise_seed)
+    diff = puf.delta_of_features(feature_matrix(chal))
+    assert np.array_equal(diff > 0, puf.respond(chal))
 
 
-def test_multibit_noise_columns_are_chain_streams():
+def test_multibit_noise_seed_range():
+    """A bank's noise seed is an int in [0, 2**64): anything else would be
+    cast to some other uint64 seed, so it is refused."""
     puf = _mixed_bank()
-    m = 300
-    noise = puf.noise(m, 7)
-    assert noise.shape == (m, 5)
-    for k, chain in enumerate(puf.chains):
-        if chain.noise_sigma == 0.0:
-            assert np.all(noise[:, k] == 0.0)
-        else:
-            rng = np.random.default_rng(derive_seed(7, k))
-            assert np.array_equal(noise[:, k],
-                                  chain.noise_sigma * rng.standard_normal(m))
-    assert np.all(puf.noise(m, None) == 0.0)
+    chal = random_challenges(40, 8, seed=46)
+    for bad in (1.5, -1, 2 ** 64, [1, 2]):
+        with pytest.raises(ValueError, match=r"noise_seed must be None or an int"):
+            puf.respond(chal, noise_seed=bad)
+    for noise_seed in (0, 2 ** 32, 2 ** 63, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+        _assert_chain_read_outs(puf, chal, noise_seed)
 
 
 def test_multibit_delta_of_features_is_delta_bit_for_bit():
@@ -327,7 +324,6 @@ def test_multibit_delta_of_features_is_delta_bit_for_bit():
     chal = random_challenges(m, 8, seed=45)
     got = puf.delta_of_features(feature_matrix(chal, "parity"))
     assert got.shape == (m, 5)
-    assert np.array_equal(got, puf.delta(chal))
     weights = np.column_stack([to_linear(c).weights for c in puf.chains])
     per_block = np.vstack([feature_matrix(chal[s:s + BLOCK_ROWS]) @ weights
                            for s in range(0, m, BLOCK_ROWS)])
@@ -342,7 +338,8 @@ def test_multibit_delta_matches_chain_races():
     puf = sample_multibit(24, width=6, seed=43)
     chal = random_challenges(2 * BLOCK_ROWS + 37, 24, seed=44)
     race = np.column_stack([c.delta(chal) for c in puf.chains])
-    assert np.allclose(puf.delta(chal), race, rtol=0.0, atol=1e-9)
+    assert np.allclose(puf.delta_of_features(feature_matrix(chal)), race,
+                       rtol=0.0, atol=1e-9)
 
 
 def test_multibit_hand_built_word():

@@ -120,7 +120,7 @@ def test_quality_study_noise_free(monkeypatch):
     # no chain is noisy, so the study draws no disturbances at all
     def no_noise(*args):
         raise AssertionError("a noise-free study drew noise")
-    monkeypatch.setattr(MultiBitPuf, "noise", no_noise)
+    monkeypatch.setattr(MultiBitPuf, "_draw", no_noise)
     report = evaluate_quality(8, 2, 20, seed=7)
     assert report.reliability == 1.0
     assert report.seed == 7
@@ -230,6 +230,17 @@ def test_quality_study_validation():
         evaluate_quality(8, 2, 20, repeats=0, seed=1)
     with pytest.raises(ValueError, match="two repeats"):
         evaluate_quality(8, 2, 20, repeats=1, noise_sigma=0.5, seed=1)
+    for sigma in (0.0, 0.5):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            evaluate_quality(8, 2, 10, width=0, noise_sigma=sigma, seed=1)
+
+
+def test_seedless_study_reports_its_master_seed():
+    args = dict(n=16, instances=3, challenges=50, width=2, repeats=2,
+                noise_sigma=0.3)
+    report = evaluate_quality(**args)
+    assert isinstance(report.seed, int)
+    assert evaluate_quality(**args, seed=report.seed) == report
 
 
 def test_report_seed_none_renders_dash():
