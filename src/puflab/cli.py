@@ -10,10 +10,10 @@ Subcommands::
 
 Every option can also come from a ``--config`` file of ``key = value`` lines
 (``#`` starts a comment; keys may use dashes or underscores); explicit flags
-win over the file, and unknown keys are rejected.  All randomness hangs off
-the one ``--seed``, so a run with the same inputs produces byte-identical
-outputs, and CSV artifacts start with comment lines echoing the options that
-made them.
+win over the file, and unknown or repeated keys are rejected.  All randomness
+hangs off the one ``--seed``, so a run with the same inputs produces
+byte-identical outputs, and CSV artifacts start with comment lines echoing the
+options that made them.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 unreadable or malformed
 data, 3 oracle disagreement.
@@ -128,7 +128,10 @@ def _read_config(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        config[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in config:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        config[key] = value.strip()
     return config
 
 

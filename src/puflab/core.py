@@ -23,10 +23,10 @@ of parity features, ``delta_of_features(feature_matrix(c)) > 0`` being
 ``respond(c)``, so one challenge set is encoded once for many banks.
 
 Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
-for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` seeds
-many streams in one batched pass of numpy's SeedSequence hash, exactly equal
-to building the SeedSequences one by one, so a study seeds every stream it
-reads in two passes.
+for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` hashes
+many streams' SeedSequence words in one batched pass, and numpy's own PCG64 is
+built from them, exactly equal to ``default_rng(derive_seed(s, k))``; so a
+study seeds every stream it reads in two passes.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def derive_seed(master, *key) -> int:
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
 
 
 def _generate_state(entropy, n_words):
@@ -152,14 +151,17 @@ def _chain_streams(noise_seeds, width):
     return _generate_state(_seed_entropy(seeds), 4).reshape(-1, width, 4)
 
 
-def _pcg64_state(words) -> dict:
-    """``default_rng(seed).bit_generator.state`` from the stream's 4 words in
-    ``_chain_streams``: PCG64's srandom_r step, on Python ints."""
-    seed, inc = (int(words[0]) << 64 | int(words[1]), int(words[2]) << 64 | int(words[3]))
-    inc = (inc << 1 | 1) & _MASK128
-    state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _StreamWords(np.random.bit_generator.ISeedSequence):
+    """A stream's 4 words from ``_chain_streams``, the seed numpy's PCG64 takes:
+    ``Generator(PCG64(_StreamWords(words)))`` is ``default_rng(derive_seed(s, k))``."""
+
+    def __init__(self, words):
+        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("stream words seed only PCG64's 4 uint64 words")
+        return self._words
 
 
 def _as_batch(challenges, n: int):
@@ -277,10 +279,18 @@ class MultiBitPuf:
     def n_stages(self) -> int:
         return self._chains[0].n_stages
 
-    def _streams(self, words):
-        """[k, sigma, state] for every noisy chain, the state seeded from
-        ``words[k]``: one noise seed's row of ``_chain_streams``."""
-        return [[k, sigma, _pcg64_state(words[k])] for k, sigma in self._noise]
+    def _noise_draw(self, words):
+        """``draw(m)``: the next m rows of (m, width) noise, noisy chain k's from
+        its stream seeded by ``words[k]``, one noise seed's ``_chain_streams`` row."""
+        rngs = [np.random.Generator(np.random.PCG64(_StreamWords(words[k])))
+                for k, _ in self._noise]
+
+        def draw(m):
+            out = np.zeros((m, self.width))
+            for (k, sigma), rng in zip(self._noise, rngs):
+                out[:, k] = sigma * rng.standard_normal(m)
+            return out
+        return draw
 
     def delta_of_features(self, feats) -> np.ndarray:
         """(m, width) noise-free differences of an (m, n+1) parity feature
@@ -292,16 +302,6 @@ class MultiBitPuf:
         for start in range(0, len(feats), BLOCK_ROWS):
             out[start:start + BLOCK_ROWS] = (feats[start:start + BLOCK_ROWS]
                                              @ self._weights)
-        return out
-
-    def _draw(self, m: int, streams, rng) -> np.ndarray:
-        """The next m rows of noise from ``_streams``: each stream's state is
-        loaded into the reused generator ``rng``, drawn from and saved back."""
-        out = np.zeros((m, self.width))
-        for stream in streams:
-            k, sigma, rng.bit_generator.state = stream
-            out[:, k] = sigma * rng.standard_normal(m)
-            stream[2] = rng.bit_generator.state
         return out
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
@@ -316,15 +316,14 @@ class MultiBitPuf:
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
-        streams = (self._streams(_chain_streams([noise_seed], self.width)[0])
-                   if noise_seed is not None and self._noise else [])
-        rng = np.random.default_rng() if streams else None
+        draw = (self._noise_draw(_chain_streams([noise_seed], self.width)[0])
+                if noise_seed is not None and self._noise else None)
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
             diff = feature_matrix(block, "parity") @ self._weights
-            if streams:
-                diff += self._draw(block.shape[0], streams, rng)
+            if draw:
+                diff += draw(block.shape[0])
             out[start:start + BLOCK_ROWS] = diff > 0
         return out[0] if single else out
 

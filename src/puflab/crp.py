@@ -116,7 +116,10 @@ class CrpSet:
 
     def subset(self, indices) -> "CrpSet":
         """New set holding the given rows (metadata carried over)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"row indices must be integers, not {idx.dtype}")
+        idx = idx.astype(np.int64)
         return CrpSet(self._challenges[idx], self._responses[idx], self._meta)
 
 
@@ -236,17 +239,17 @@ def split_crps(crps: CrpSet, test_fraction: float, seed=None):
 def import_hex_rows(source, challenge_bits: int, response_bits: int):
     """Lenient import of externally logged CRP tables.
 
-    ``source`` is a path or an iterable of text lines.  Each data row holds a
-    challenge word and a response word separated by whitespace or a comma;
-    challenge words may carry a Verilog-style width prefix (``64h9283c...``).
-    Blank lines and ``#`` comments are skipped.  Malformed rows do not abort
-    the import: they are collected as ``(line_number, reason)`` pairs.  A file
-    is read as bytes and a non-ASCII byte decodes to U+FFFD, so only its row
-    is rejected.
+    ``source`` is a path (``str``, ``bytes`` or path-like, as for ``open``) or
+    an iterable of text lines.  Each data row holds a challenge word and a
+    response word separated by whitespace or a comma; challenge words may
+    carry a Verilog-style width prefix (``64h9283c...``).  Blank lines and
+    ``#`` comments are skipped.  Malformed rows do not abort the import: they
+    are collected as ``(line_number, reason)`` pairs.  A file is read as bytes
+    and a non-ASCII byte decodes to U+FFFD, so only its row is rejected.
 
     Returns ``(crps, rejected)`` where ``crps`` covers the well-formed rows.
     """
-    if hasattr(source, "__fspath__") or isinstance(source, str):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(os.fspath(source), "rb") as fh:
             lines = [line.decode("ascii", "replace")
                      for line in fh.read().splitlines()]

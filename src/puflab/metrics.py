@@ -16,9 +16,10 @@ copies of the same disturbances and comparable reliabilities.  The shared
 challenges are encoded once (m * (n+1) * 8 bytes of parity features, 0.5 MB at
 1000 x 64) and each instance's delay differences once; each noisy repeat adds
 its disturbances and is scored before the next, so memory does not grow with
-repeats.  A noise-free study runs no repeats.  The generator words of all
-instances x repeats x width noise streams come from two batched passes up
-front, 32 bytes a stream, exactly equal to ``default_rng(derive_seed(s, k))``.
+repeats.  A noise-free study runs no repeats.  Two batched passes up front hash
+the SeedSequence words of all instances x repeats x width noise streams, 32
+bytes a stream, and numpy's own PCG64 is built from them, exactly equal to
+``default_rng(derive_seed(s, k))``.
 Without a seed the study draws one fresh master seed, derives everything from
 it and reports it as its seed, so the study can be rerun.
 """
@@ -155,7 +156,6 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
     reads = np.indices((instances, repeats if noise_sigma > 0 else 0)).reshape(2, -1).T
     noise_seeds = _derive_seeds(master, np.insert(reads, 0, 2, axis=1))
     streams = _chain_streams(noise_seeds, width).reshape(instances, -1, width, 4)
-    rng = np.random.default_rng()   # each stream loads its own state into it
     chal = random_challenges(challenges, n, seed=derive_seed(master, 1))
     feats = feature_matrix(chal, "parity")
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
@@ -167,7 +167,7 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         diff = puf.delta_of_features(feats)
         ref = stack[i] = diff > 0
         for words in streams[i]:
-            noise = puf._draw(challenges, puf._streams(words), rng)
+            noise = puf._noise_draw(words)(challenges)
             flips += np.count_nonzero((diff + noise > 0) != ref)
     return QualityReport(
         n_stages=n,

@@ -359,6 +359,20 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 1 and "cannot read config" in err
 
 
+def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
+    # a key set twice, even spelled once with dashes, names its second line,
+    # also when a flag would override the file
+    cfg = tmp_path / "twice.cfg"
+    for text, key in (("n = 8\nn = 16\n", "n"),
+                      ("delay-mean = 9\n# again\ndelay_mean = 11\n", "delay_mean")):
+        cfg.write_text(text)
+        code, _, err = run(capsys, "generate", "--config", str(cfg), "--n", "8",
+                           "--count", "5", "-o", str(tmp_path / "x.csv"))
+        line = text.count("\n")
+        assert code == 1 and f"{cfg}:{line}: duplicate key {key!r}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_no_command_prints_help(capsys):
     code, _, err = run(capsys)
     assert code == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
                          MultiBitPuf, _chain_streams, _derive_seeds,
-                         _pcg64_state, all_challenges, derive_seed,
+                         _StreamWords, all_challenges, derive_seed,
                          linear_disagreements, random_challenges, sample_chain,
                          sample_multibit, to_linear)
 from puflab.features import feature_matrix
@@ -38,22 +38,33 @@ KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
 @given(master=st.sampled_from(MASTERS), keys=KEY_ROWS)
 def test_batched_stream_seeds_equal_seed_sequence(master, keys):
     """One hashing pass over many keys gives every derived seed, and one over
-    their chains every default_rng state and every normal of one SeedSequence
-    per chain stream."""
+    their chains the words from which numpy's PCG64 builds every default_rng
+    state and every normal of one SeedSequence per chain stream."""
     seeds = _derive_seeds(master, keys)
     assert seeds.dtype == np.uint64
     assert seeds.tolist() == [derive_seed(master, *key) for key in keys]
     width = len(keys[0])
     streams = _chain_streams(seeds, width)
     assert streams.shape == (len(keys), width, 4)
-    got = np.random.default_rng()
     for seed, row in zip(seeds.tolist(), streams):
         for k, words in enumerate(row):
             want = np.random.default_rng(derive_seed(seed, k))
-            got.bit_generator.state = _pcg64_state(words)
+            got = np.random.Generator(np.random.PCG64(_StreamWords(words)))
             assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.standard_normal(1000),
                                   want.standard_normal(1000))
+
+
+def test_stream_words_seed_only_pcg64():
+    words = _chain_streams([7], 2)[0, 1]
+    wrapped = _StreamWords(np.repeat(words, 2)[::2])   # a strided view
+    assert wrapped.generate_state(4, "uint64").tolist() == words.tolist()
+    assert (np.random.PCG64(wrapped).state
+            == np.random.default_rng(derive_seed(7, 1)).bit_generator.state)
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64),
+                           (5, np.uint64)):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            wrapped.generate_state(n_words, dtype)
 
 
 def test_batched_seeds_take_any_master_and_key():

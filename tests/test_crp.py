@@ -44,6 +44,17 @@ def test_crpset_basic():
     assert sub.meta == {"seed": "9"}
 
 
+def test_subset_takes_only_integer_indices():
+    crps = CrpSet([[0, 0], [0, 1], [1, 0], [1, 1]], [[0], [1], [0], [1]])
+    # a mask is not a row list, and a float index is not a row
+    for bad in ([True, False, True, False], [0.7, 2.9], np.array([1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            crps.subset(bad)
+    assert len(crps.subset([])) == 0
+    assert crps.subset(np.array([3, 1], dtype=np.uint8)).challenges.tolist() == [
+        [1, 1], [0, 1]]
+
+
 def test_crpset_validation():
     with pytest.raises(ValueError):
         CrpSet([[0, 1]], [[1], [0]])               # row mismatch
@@ -290,6 +301,15 @@ def test_import_from_file(tmp_path):
     crps, rejected = import_hex_rows(path, 64, 64)
     assert [line for line, _ in rejected] == list(BAD_LINES)
     assert len(crps) == 6
+
+
+def test_import_from_bytes_path(tmp_path):
+    # a bytes path names a file, as for open() and load_crps
+    path = tmp_path / "one.txt"
+    path.write_text("64h9283c630815977c\tFF00FF0000FF00FF\n")
+    crps, rejected = import_hex_rows(bytes(path), 64, 64)
+    assert rejected == []
+    assert [format_hex_word(c) for c in crps.challenges] == ["09283C630815977C"]
 
 
 def test_import_from_file_rejects_only_the_non_ascii_row(tmp_path):

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from puflab.core import (MultiBitPuf, derive_seed, random_challenges,
-                         sample_chain, sample_multibit)
+from puflab.core import (BLOCK_ROWS, MultiBitPuf, derive_seed,
+                         random_challenges, sample_chain, sample_multibit)
 from puflab.metrics import (QualityReport, bit_aliasing, evaluate_quality,
                             reliability, uniformity, uniqueness)
 
@@ -120,7 +120,7 @@ def test_quality_study_noise_free(monkeypatch):
     # no chain is noisy, so the study draws no disturbances at all
     def no_noise(*args):
         raise AssertionError("a noise-free study drew noise")
-    monkeypatch.setattr(MultiBitPuf, "_draw", no_noise)
+    monkeypatch.setattr(MultiBitPuf, "_noise_draw", no_noise)
     report = evaluate_quality(8, 2, 20, seed=7)
     assert report.reliability == 1.0
     assert report.seed == 7
@@ -233,6 +233,24 @@ def test_quality_study_validation():
     for sigma in (0.0, 0.5):
         with pytest.raises(ValueError, match="width must be >= 1"):
             evaluate_quality(8, 2, 10, width=0, noise_sigma=sigma, seed=1)
+
+
+def test_seeded_noisy_read_outs_read_no_os_entropy(monkeypatch):
+    """A seeded noisy read-out or study builds every generator from its seed,
+    none as a seedless default_rng() whose state is then overwritten."""
+    seeded = np.random.default_rng
+
+    def seeded_only(seed=None):
+        if seed is None:
+            raise AssertionError("default_rng() called without a seed")
+        return seeded(seed)
+    monkeypatch.setattr(np.random, "default_rng", seeded_only)
+    puf = sample_multibit(16, 3, seed=4, noise_sigma=0.5)
+    chal = random_challenges(2 * BLOCK_ROWS + 1, 16, seed=5)
+    assert np.any(puf.respond(chal, noise_seed=6) != puf.respond(chal))
+    report = evaluate_quality(16, 3, 100, width=2, repeats=2, noise_sigma=0.5,
+                              seed=8)
+    assert report.reliability < 1.0
 
 
 def test_seedless_study_reports_its_master_seed():
