@@ -10,8 +10,10 @@ own as soon as an epoch stops improving its loss.
 ``sigmoid``, ``cross_entropy`` and ``gradient`` are the public numerics.  The
 sigmoid and the loss are evaluated in overflow-safe forms built on one shared
 ``e = exp(-|z|)``, so an epoch takes a single ``exp`` and uses it for both the
-loss and the gradient.  The analytic gradient can be checked against finite
-differences, and every fit records its loss trajectory.
+loss and the gradient.  The descent computes its loss and gradient with the
+same private helpers as ``cross_entropy`` and ``gradient``, so checking the
+analytic gradient against finite differences checks the arithmetic the attack
+runs; every fit records its loss trajectory.
 """
 
 from __future__ import annotations
@@ -71,6 +73,24 @@ def _check_hyperparameters(lr=DEFAULT_LR, epochs=1, l2=0.0, tol=0.0):
         raise ValueError("need finite lr > 0, epochs >= 1, tol >= 0, finite l2 >= 0")
 
 
+def _loss(W, Z, E, Y, l2, out=None, tmp=None):
+    """Per-column mean loss and ridge term of logits Z = X @ W given E = exp(-|Z|),
+    optionally in scratch ``out`` and ``tmp`` of Z's shape."""
+    loss = np.mean(np.subtract(_softplus(Z, E, out, tmp), np.multiply(Y, Z, out=tmp),
+                               out=out), axis=0)
+    if l2:
+        loss = loss + 0.5 * l2 * np.sum(W[:-1] ** 2, axis=0) / len(Z)
+    return loss
+
+
+def _gradient(X, W, R, l2):
+    """Gradient of ``_loss`` at W given the residuals R = sigmoid(X @ W) - Y."""
+    G = X.T @ R / len(X)
+    if l2:
+        G[:-1] += l2 * W[:-1] / len(X)
+    return G
+
+
 def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
     """Mean cross-entropy of sigmoid(X @ weights) against 0/1 labels.
 
@@ -82,10 +102,7 @@ def cross_entropy(weights, X, y, l2: float = 0.0) -> float:
     _check_hyperparameters(l2=l2)
     weights = np.asarray(weights, dtype=np.float64)
     z = X @ weights
-    m = X.shape[0]
-    loss = np.mean(_softplus(z, np.exp(-np.abs(z))) - y * z, axis=0)
-    if l2:
-        loss = loss + 0.5 * l2 * np.sum(weights[:-1] ** 2, axis=0) / m
+    loss = _loss(weights, z, np.exp(-np.abs(z)), y, l2)
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
@@ -94,11 +111,7 @@ def gradient(weights, X, y, l2: float = 0.0) -> np.ndarray:
     X, y = _check_xy(X, y)
     _check_hyperparameters(l2=l2)
     weights = np.asarray(weights, dtype=np.float64)
-    m = X.shape[0]
-    g = X.T @ (sigmoid(X @ weights) - y) / m
-    if l2:
-        g[:-1] += l2 * weights[:-1] / m
-    return g
+    return _gradient(X, weights, sigmoid(X @ weights) - y, l2)
 
 
 def _descend(X, Y, lr, epochs, l2, tol):
@@ -129,10 +142,7 @@ def _descend(X, Y, lr, epochs, l2, tol):
         Z = X @ Ta
         E, S, T = bufs[:, :Z.size].reshape(3, *Z.shape)
         np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
-        _softplus(Z, E, S, T)
-        cur = np.mean(np.subtract(S, np.multiply(Ya, Z, out=T), out=S), axis=0)
-        if l2:
-            cur = cur + 0.5 * l2 * np.sum(Ta[:-1] ** 2, axis=0) / m
+        cur = _loss(Ta, Z, E, Ya, l2, S, T)
         row = prev.copy()
         row[cols] = cur
         history.append(row)
@@ -145,10 +155,7 @@ def _descend(X, Y, lr, epochs, l2, tol):
             Z, E, S, T = Z[:, keep], E[:, keep], None, None  # fresh this epoch
             if cols.size == 0:
                 break
-        G = X.T @ np.subtract(_sigmoid(Z, E, S, T), Ya, out=S) / m
-        if l2:
-            G[:-1] += l2 * Ta[:-1] / m
-        Ta -= lr * G
+        Ta -= lr * _gradient(X, Ta, np.subtract(_sigmoid(Z, E, S, T), Ya, out=S), l2)
         updates[cols] += 1
     theta[:, cols] = Ta
     final = cross_entropy(theta, X, Y, l2=l2)

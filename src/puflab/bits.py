@@ -13,8 +13,8 @@ import numpy as np
 
 __all__ = ["HexFormatError", "parse_hex_word", "format_hex_word"]
 
-# Verilog-style width/base prefix, e.g. "64h..." or "64'h...".
-_PREFIX = re.compile(r"^\d+'?[hH]")
+# Verilog-style width/base prefix in ASCII digits, e.g. "64h..." or "64'h...".
+_PREFIX = re.compile(r"^[0-9]+'?[hH]")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 

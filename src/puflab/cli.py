@@ -22,6 +22,7 @@ data, 3 oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -32,8 +33,7 @@ from .attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL, AttackReport,
                      attack_dataset)
 from .bits import HexFormatError, format_hex_word
 from .core import (DelayParams, all_challenges, derive_seed,
-                   linear_disagreements, random_challenges, sample_chain,
-                   to_linear)
+                   linear_disagreements, random_challenges, sample_chain)
 from .crp import DatasetError, generate_crps, load_crps, save_crps
 from .features import FeatureKind
 from .metrics import evaluate_quality
@@ -377,7 +377,7 @@ def cmd_oracle_check(ns) -> int:
         for idx in range(ns.chains):
             chain_seed = derive_seed(ns.seed, 0, n, idx)
             chain = sample_chain(n, seed=chain_seed)
-            disagree = linear_disagreements(chain, challenges, to_linear(chain))
+            disagree = linear_disagreements(chain, challenges)
             bad += disagree.size
             for c_idx in disagree[:3]:
                 print(f"mismatch: n={n} chain_seed={chain_seed} "
@@ -426,6 +426,7 @@ COMMANDS = {
 }
 
 
+@functools.cache   # built once per process; parsing leaves the parser unchanged
 def _build_parser():
     parser = _Parser(prog="puflab",
                      description="arbiter-chain simulation and attack toolkit")

@@ -10,17 +10,19 @@ counts as 0.
 
 The race is equivalent to a linear threshold function over the parity
 transform of the challenge: ``to_linear`` folds the 4n stage delays into n+1
-weights ``w`` with ``to_linear(chain).respond(c) == chain.respond(c)`` for
-every challenge.  Measurement noise is modelled as a single Gaussian
-disturbance added to the final delay difference.
+weights ``w``, and ``w`` dotted with the parity features of any challenge is
+positive exactly where ``chain.respond(c)`` is 1.  Measurement noise is
+modelled as a single Gaussian disturbance added to the final delay difference.
 
 A multi-bit instance is a bank of independent chains sharing one challenge,
 one response bit per chain.  The bank folds its chains once, when built, and
-responds through the folded weights; ``ArbiterChain.delta`` keeps the race as
-the reference oracle for the fold.  ``MultiBitPuf.respond(c, s)`` is the
-read-out; ``MultiBitPuf.delta_of_features`` gives the noise-free differences
-of parity features, ``delta_of_features(feature_matrix(c)) > 0`` being
-``respond(c)``, so one challenge set is encoded once for many banks.
+responds through the folded weights, the only linear evaluator here;
+``ArbiterChain.delta`` keeps the race as the reference oracle for the fold,
+and ``linear_disagreements`` checks a chain's race against its one-chain
+bank.  ``MultiBitPuf.respond(c, s)`` is the read-out;
+``MultiBitPuf.delta_of_features`` gives the noise-free differences of parity
+features, ``delta_of_features(feature_matrix(c)) > 0`` being ``respond(c)``,
+so one challenge set is encoded once for many banks.
 
 Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
 for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` hashes
@@ -174,13 +176,6 @@ def _as_batch(challenges, n: int):
     return np.atleast_2d(bits), bits.ndim == 1
 
 
-def _threshold(diff):
-    """Response bit(s) of delay difference(s): 1 where positive, 0 on a dead heat."""
-    if np.ndim(diff) == 0:
-        return int(diff > 0)
-    return (diff > 0).astype(np.uint8)
-
-
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
 
@@ -237,7 +232,8 @@ class ArbiterChain:
 
     def respond(self, challenges, noise_seed=None):
         """Response bit(s): 1 where the final difference is positive."""
-        return _threshold(self.delta(challenges, noise_seed=noise_seed))
+        resp = (self.delta(challenges, noise_seed=noise_seed) > 0).astype(np.uint8)
+        return int(resp) if resp.ndim == 0 else resp
 
     def __repr__(self):
         return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self._noise_sigma})"
@@ -321,7 +317,7 @@ class MultiBitPuf:
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
-            diff = feature_matrix(block, "parity") @ self._weights
+            diff = self.delta_of_features(feature_matrix(block, "parity"))
             if draw:
                 diff += draw(block.shape[0])
             out[start:start + BLOCK_ROWS] = diff > 0
@@ -331,36 +327,12 @@ class MultiBitPuf:
         return f"MultiBitPuf(width={self.width}, n_stages={self.n_stages})"
 
 
+@dataclass(frozen=True)
 class LinearModel:
-    """Threshold model: response is 1 iff weights . parity_features > 0."""
+    """A chain's threshold form from ``to_linear``: the response is 1 exactly
+    where its read-only (n+1,) ``weights`` dot the parity features above 0."""
 
-    __slots__ = ("_weights",)
-
-    def __init__(self, weights):
-        weights = np.array(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.shape[0] < 2:
-            raise ValueError("weights must be a 1-D array of length n + 1")
-        weights.setflags(write=False)
-        self._weights = weights
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def n_stages(self) -> int:
-        return self._weights.shape[0] - 1
-
-    def delta(self, challenges) -> np.ndarray:
-        bits, single = _as_batch(challenges, self.n_stages)
-        diff = feature_matrix(bits, "parity") @ self._weights
-        return diff[0] if single else diff
-
-    def respond(self, challenges):
-        return _threshold(self.delta(challenges))
-
-    def __repr__(self):
-        return f"LinearModel(n_stages={self.n_stages})"
+    weights: np.ndarray
 
 
 def sample_chain(n: int, params: DelayParams = None, seed=None,
@@ -405,12 +377,9 @@ def to_linear(chain: ArbiterChain) -> LinearModel:
     d = chain.delays
     a = d[:, 1] - d[:, 0]
     b = d[:, 2] - d[:, 3]
-    half_sum = (a + b) / 2.0
-    half_diff = (a - b) / 2.0
-    w = np.empty(chain.n_stages + 1)
-    w[0] = half_diff[0]
-    w[1:-1] = half_sum[:-1] + half_diff[1:]
-    w[-1] = half_sum[-1]
+    w = np.append((a - b) / 2.0, 0.0)   # w_k gets (a_k - b_k) / 2,
+    w[1:] += (a + b) / 2.0              # w_{k+1} gets (a_k + b_k) / 2
+    w.setflags(write=False)
     return LinearModel(w)
 
 
@@ -431,12 +400,9 @@ def random_challenges(m: int, n: int, seed=None) -> np.ndarray:
     return rng.integers(0, 2, size=(m, n), dtype=np.uint8)
 
 
-def linear_disagreements(chain: ArbiterChain, challenges, model=None) -> np.ndarray:
-    """Indices of the challenges where the race and its linear form disagree.
-
-    ``model`` defaults to ``to_linear(chain)``; the result should be empty.
-    """
-    if model is None:
-        model = to_linear(chain)
+def linear_disagreements(chain: ArbiterChain, challenges) -> np.ndarray:
+    """Indices of the challenges where the race and the one-chain bank, which
+    responds through the folded weights, disagree; the result should be empty."""
     bits, _ = _as_batch(challenges, chain.n_stages)
-    return np.flatnonzero(chain.respond(bits) != model.respond(bits))
+    folded = MultiBitPuf([chain]).respond(bits)[:, 0]
+    return np.flatnonzero(chain.respond(bits) != folded)

@@ -119,6 +119,9 @@ class CrpSet:
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"row indices must be integers, not {idx.dtype}")
+        # checked before the cast, which would wrap a uint64 index to a negative one
+        if idx.size and not -len(self) <= int(idx.min()) <= int(idx.max()) < len(self):
+            raise IndexError(f"row index out of range for {len(self)} rows")
         idx = idx.astype(np.int64)
         return CrpSet(self._challenges[idx], self._responses[idx], self._meta)
 

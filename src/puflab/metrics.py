@@ -83,18 +83,13 @@ def bit_aliasing(stack) -> np.ndarray:
     return arr.mean(axis=(0, 1))
 
 
-def _reliability(flips, total) -> float:
-    """1 - flip rate, given flipped bits out of ``total`` compared bits."""
-    return float(1.0 - flips / total)
-
-
 def reliability(reference, repeats) -> float:
     """1 - mean flip rate of repeated read-outs against a reference read-out."""
     ref = _bits(reference, "reference", 1, 2)
     reps = _bits(repeats, "repeats", ref.ndim + 1, ref.ndim + 1)
     if reps.shape[1:] != ref.shape:
         raise ValueError("repeats must stack measurements shaped like the reference")
-    return _reliability(np.count_nonzero(reps != ref), reps.size)
+    return float(1.0 - np.count_nonzero(reps != ref) / reps.size)
 
 
 @dataclass(frozen=True)
@@ -179,6 +174,6 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         seed=master,
         uniformity=uniformity(stack.reshape(instances, -1)),
         uniqueness=uniqueness(stack),
-        reliability=_reliability(flips, repeats * stack.size),
+        reliability=float(1.0 - flips / (repeats * stack.size)),
         bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)),
     )

@@ -50,6 +50,10 @@ def test_invalid_character_reports_offset():
     with pytest.raises(HexFormatError) as exc:
         parse_hex_word("64hABCX", 64)
     assert exc.value.offset == 6  # prefix "64h" occupies offsets 0..2
+    # a prefix takes ASCII digits only; Arabic-Indic "64h" is not a prefix
+    with pytest.raises(HexFormatError) as exc:
+        parse_hex_word("\u0666\u0664hFF", 8)
+    assert exc.value.offset == 0
 
 
 def test_too_many_digits_rejected():

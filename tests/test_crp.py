@@ -55,6 +55,17 @@ def test_subset_takes_only_integer_indices():
         [1, 1], [0, 1]]
 
 
+def test_subset_rejects_out_of_range_indices():
+    crps = CrpSet([[0, 0], [0, 1], [1, 0]], [[0], [1], [1]])
+    # 2**64 - 1 would wrap to -1, the last row, once cast to int64
+    for bad in (np.array([2 ** 64 - 1], dtype=np.uint64), [3], [0, -4],
+                np.array([2 ** 63], dtype=np.uint64)):
+        with pytest.raises(IndexError, match="out of range for 3 rows"):
+            crps.subset(bad)
+    assert crps.subset([-3, 2]).challenges.tolist() == [[0, 0], [1, 0]]
+    assert crps.subset(np.array([2], dtype=np.uint64)).responses.tolist() == [[1]]
+
+
 def test_crpset_validation():
     with pytest.raises(ValueError):
         CrpSet([[0, 1]], [[1], [0]])               # row mismatch
