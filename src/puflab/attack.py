@@ -5,7 +5,8 @@ full-batch gradient descent on the cross-entropy loss, written directly
 against numpy.  A response word with w bits is attacked as w independent
 binary problems; they are trained side by side as the columns of one weight
 matrix so every epoch costs two matrix products, and a column freezes on its
-own as soon as an epoch stops improving its loss.
+own as soon as an epoch stops improving its loss.  ``attack_grid`` attacks
+every prefix size at every held-out fraction, the grid of ``puflab sweep``.
 
 ``sigmoid``, ``cross_entropy`` and ``gradient`` are the public numerics.  The
 sigmoid and the loss are evaluated in overflow-safe forms built on one shared
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import derive_seed
 from .crp import CrpSet, split_crps
 from .features import FeatureKind, feature_matrix
 
@@ -30,6 +32,7 @@ __all__ = [
     "cross_entropy",
     "gradient",
     "attack_dataset",
+    "attack_grid",
     "AttackReport",
 ]
 
@@ -226,3 +229,12 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
         epochs_run=tuple(int(u) for u in updates),
         final_loss=tuple(float(v) for v in history[-1]),
     )
+
+
+def attack_grid(crps: CrpSet, counts, fractions, seed=None, **fit) -> list:
+    """``attack_dataset`` of each prefix ``counts[i]`` at each ``fractions[j]``,
+    in rows of counts, split by ``derive_seed(seed, 3, i, j)``; keys 0-2 belong
+    to ``generate_crps``.  ``fit`` holds the feature map and training options."""
+    return [[attack_dataset(subset, fraction, seed=derive_seed(seed, 3, i, j), **fit)
+             for j, fraction in enumerate(fractions)]
+            for i, subset in enumerate(crps.subset(np.arange(c)) for c in counts)]

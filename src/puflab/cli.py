@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL, AttackReport,
-                     attack_dataset)
+                     attack_dataset, attack_grid)
 from .bits import HexFormatError, format_hex_word
 from .core import (DelayParams, all_challenges, derive_seed,
                    linear_disagreements, random_challenges, sample_chain)
@@ -162,23 +162,25 @@ def _merge(args, opts, command):
 
 
 def _echo_lines(ns, opts, extra=(), skip=("out",)):
-    """Comment lines restating the options a run used, for self-describing files."""
-    lines = [f"# {key}={value}" for key, value in extra]
-    for opt in opts:
-        if opt.dest in skip:
-            continue
-        value = getattr(ns, opt.dest)
+    """Comment lines restating the options a run used, for self-describing files.
+    A character outside printable ASCII is written as its Python escape, so each
+    option echoes as one ASCII line."""
+    lines = []
+    for key, value in [*extra, *((o.dest, getattr(ns, o.dest)) for o in opts
+                                 if o.dest not in skip)]:
         if value is None:
             value = "-"
         elif isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"# {opt.dest}={value}")
+        lines.append("".join(c if " " <= c <= "~" else ascii(c)[1:-1]
+                             for c in f"# {key}={value}"))
     return lines
 
 
 def _write_text(path, lines):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("ascii")  # fails before the file opens
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,10 @@ def cmd_generate(ns) -> int:
 # attack
 
 
+def _fit(ns):  # the feature map and training options, as attack_dataset takes them
+    return dict(feature=ns.features, lr=ns.lr, epochs=ns.epochs, l2=ns.l2, tol=ns.tol)
+
+
 def _print_epochs(epochs_run, cap, what):  # stdout only: no comma, no leading '#'
     capped = epochs_run.count(cap)
     print(f"epochs: {capped}/{len(epochs_run)} {what} at the {cap}-epoch cap; "
@@ -256,13 +262,10 @@ ATTACK_OPTS = (
 
 def cmd_attack(ns) -> int:
     crps = load_crps(ns.dataset)
-    report = attack_dataset(crps, test_fraction=ns.test, feature=ns.features,
-                            lr=ns.lr, epochs=ns.epochs, l2=ns.l2, tol=ns.tol,
-                            seed=ns.seed)
+    report = attack_dataset(crps, ns.test, seed=ns.seed, **_fit(ns))
     lines = _echo_lines(ns, ATTACK_OPTS, extra=[("dataset", ns.dataset)])
     lines += [AttackReport.CSV_HEADER, report.csv_row()]
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     if len(report.per_bit_rate) > 1:
         print(f"per-bit rate: min {min(report.per_bit_rate):.4f} "
               f"max {max(report.per_bit_rate):.4f}")
@@ -293,33 +296,21 @@ def cmd_sweep(ns) -> int:
     params = DelayParams(ns.delay_mean, ns.delay_sigma)
     full = generate_crps(ns.n, max(ns.counts), width=ns.chains, seed=ns.seed,
                          params=params, noise_sigma=ns.noise_sigma)
+    grid = attack_grid(full, ns.counts, ns.fractions, seed=ns.seed, **_fit(ns))
+    reports = [report for row in grid for report in row]
     lines = _echo_lines(ns, SWEEP_OPTS)
-    lines.append(AttackReport.CSV_HEADER)
-    grid, epochs_run = [], []
-    for i, count in enumerate(ns.counts):
-        subset = full.subset(np.arange(count))
-        row = []
-        for j, fraction in enumerate(ns.fractions):
-            report = attack_dataset(subset, test_fraction=fraction,
-                                    feature=ns.features, lr=ns.lr,
-                                    epochs=ns.epochs, l2=ns.l2, tol=ns.tol,
-                                    seed=derive_seed(ns.seed, 3, i, j))
-            lines.append(report.csv_row())
-            row.append(report.mean_rate)
-            epochs_run += report.epochs_run
-        grid.append(row)
-    for line in lines:
-        print(line)
+    lines += [AttackReport.CSV_HEADER] + [r.csv_row() for r in reports]
+    print("\n".join(lines))
     # column-aligned mean_rate table: counts down, fractions across
     cells = [["crps"] + [f"{f:g}" for f in ns.fractions]]
     for count, row in zip(ns.counts, grid):
-        cells.append([str(count)] + [f"{r:.4f}" for r in row])
+        cells.append([str(count)] + [f"{r.mean_rate:.4f}" for r in row])
     widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
     for row in cells:
         print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    print(f"mean rate over {sum(len(r) for r in grid)} cells: "
-          f"{np.mean([v for r in grid for v in r]):.4f}")
-    _print_epochs(epochs_run, ns.epochs, "bit fits")
+    print(f"mean rate over {len(reports)} cells: "
+          f"{np.mean([r.mean_rate for r in reports]):.4f}")
+    _print_epochs([e for r in reports for e in r.epochs_run], ns.epochs, "bit fits")
     if ns.out:
         _write_text(ns.out, lines)
     return 0
@@ -368,11 +359,21 @@ ORACLE_OPTS = (
 
 
 def cmd_oracle_check(ns) -> int:
-    mismatches = 0
-    checks = 0
-
-    def run_pass(n, challenges, label):
-        nonlocal mismatches, checks
+    if ns.n is None:
+        exhaustive, random_n = range(1, 13), ns.random_width
+    elif ns.n <= 16:
+        exhaustive, random_n = [ns.n], None
+    elif ns.random_count:
+        exhaustive, random_n = [], ns.n
+    else:
+        raise UsageError("--random-count must be >= 1 when --n is above 16")
+    passes = [(n, all_challenges(n), "exhaustive") for n in exhaustive]
+    if random_n and ns.random_count:
+        passes.append((random_n, random_challenges(ns.random_count, random_n,
+                                                   seed=derive_seed(ns.seed, 1)),
+                       "random"))
+    mismatches = checks = 0
+    for n, challenges, label in passes:
         bad = 0
         for idx in range(ns.chains):
             chain_seed = derive_seed(ns.seed, 0, n, idx)
@@ -384,27 +385,8 @@ def cmd_oracle_check(ns) -> int:
                       f"challenge={format_hex_word(challenges[c_idx])}")
         mismatches += bad
         checks += ns.chains * len(challenges)
-        print(f"n={n}: {ns.chains} chains x {len(challenges)} {label}, "
-              f"{bad} disagreements")
-
-    if ns.n is not None:
-        if ns.n <= 16:
-            run_pass(ns.n, all_challenges(ns.n), "challenges (exhaustive)")
-        elif not ns.random_count:
-            raise UsageError("--random-count must be >= 1 when --n is above 16")
-        else:
-            run_pass(ns.n, random_challenges(ns.random_count, ns.n,
-                                             seed=derive_seed(ns.seed, 1)),
-                     "challenges (random)")
-    else:
-        for n in range(1, 13):
-            run_pass(n, all_challenges(n), "challenges (exhaustive)")
-        if ns.random_count:
-            run_pass(ns.random_width,
-                     random_challenges(ns.random_count, ns.random_width,
-                                       seed=derive_seed(ns.seed, 1)),
-                     "challenges (random)")
-
+        print(f"n={n}: {ns.chains} chains x {len(challenges)} challenges "
+              f"({label}), {bad} disagreements")
     print(f"{mismatches} mismatches / {checks} checks")
     return 3 if mismatches else 0
 

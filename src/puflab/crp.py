@@ -198,6 +198,8 @@ def load_crps(path) -> CrpSet:
         if not m:
             raise DatasetError("bad meta line, expected '# meta key=value'",
                                line=pos + 1)
+        if m.group(1) in meta:
+            raise DatasetError(f"repeated meta key {m.group(1)!r}", line=pos + 1)
         meta[m.group(1)] = m.group(2)
         pos += 1
     if pos >= len(lines) or lines[pos] != COLUMNS:

@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from puflab.attack import attack_dataset, cross_entropy, gradient, sigmoid
+from puflab.attack import (attack_dataset, attack_grid, cross_entropy, gradient,
+                           sigmoid)
 from puflab.bits import format_hex_word, parse_hex_word
 from puflab.core import (all_challenges, derive_seed, linear_disagreements,
                          random_challenges, sample_chain)
@@ -66,14 +67,10 @@ def test_criterion_3_raw_attack_on_64bit_words_stays_near_chance():
     t0 = time.perf_counter()
     seed = 20260815
     full = generate_crps(64, 4920, width=64, seed=seed)
-    cells = []
-    for i, count in enumerate((750, 1650, 2850, 4920)):
-        subset = full.subset(np.arange(count))
-        for j, fraction in enumerate((0.15, 0.25, 0.35)):
-            report = attack_dataset(subset, test_fraction=fraction,
-                                    feature="raw",
-                                    seed=derive_seed(seed, 3, i, j))
-            cells.append(report.mean_rate)
+    # the grid of `puflab sweep --n 64 --chains 64 --features raw --seed 20260815`
+    grid = attack_grid(full, (750, 1650, 2850, 4920), (0.15, 0.25, 0.35),
+                       seed=seed, feature="raw")
+    cells = [report.mean_rate for row in grid for report in row]
     elapsed = time.perf_counter() - t0
     grid_mean = float(np.mean(cells))
     in_band = sum(0.40 <= c <= 0.65 for c in cells)

@@ -5,8 +5,8 @@ import pytest
 
 from puflab.attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL,
                            AttackReport, _descend, attack_dataset,
-                           cross_entropy, gradient, sigmoid)
-from puflab.core import all_challenges, sample_chain
+                           attack_grid, cross_entropy, gradient, sigmoid)
+from puflab.core import all_challenges, derive_seed, sample_chain
 from puflab.crp import CrpSet, generate_crps, split_crps
 from puflab.features import feature_matrix
 
@@ -399,6 +399,23 @@ def test_attack_raw_features_on_bank_stay_near_chance():
     assert report.feature_map == "raw"
     assert 0.35 <= report.mean_rate <= 0.70
     assert report.word_exact_rate <= 0.3
+
+
+def test_attack_grid_cells_are_prefix_attacks():
+    crps = generate_crps(16, 300, width=2, seed=17)
+    counts, fractions = (120, 300, 200), (0.2, 0.35)
+    grid = attack_grid(crps, counts, fractions, seed=17, feature="raw",
+                       epochs=60)
+    # rows of counts, fractions across
+    assert [[(r.crp_count, r.test_fraction) for r in row] for row in grid] == [
+        [(count, fraction) for fraction in fractions] for count in counts]
+    for i, count in enumerate(counts):
+        for j, fraction in enumerate(fractions):
+            assert grid[i][j] == attack_dataset(
+                crps.subset(np.arange(count)), fraction, feature="raw",
+                epochs=60, seed=derive_seed(17, 3, i, j))
+    with pytest.raises(IndexError):
+        attack_grid(crps, (300, 301), (0.2,), seed=17)
 
 
 def test_attack_report_csv():

@@ -176,6 +176,26 @@ def test_attack_reports_malformed_line(tmp_path, capsys):
     assert f"data error: line {data_start + 3}: non-ASCII" in err
 
 
+def test_attack_echoes_every_path_as_one_ascii_line(tmp_path, capsys):
+    ds = tmp_path / "donn\u00e9es\n.csv"
+    assert main(["generate", "--n", "8", "--count", "40", "--seed", "3",
+                 "-o", str(ds)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "rep.csv"
+    code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "1",
+                          "-o", str(report))
+    assert code == 0
+    lines = stdout.splitlines()
+    assert f"# dataset={tmp_path}/donn\\xe9es\\n.csv" in lines
+    assert report.read_text(encoding="ascii").splitlines() == [
+        l for l in lines if l.startswith("#") or "," in l]
+    # printable ASCII echoes unchanged, quotes and backslashes included
+    plain = tmp_path / "it's \\ \"plain\".csv"
+    plain.write_bytes(ds.read_bytes())
+    code, stdout, _ = run(capsys, "attack", str(plain), "--seed", "1")
+    assert code == 0 and f"# dataset={plain}" in stdout.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -229,6 +229,13 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError, match="line 5: non-ASCII byte 0xC9"):
         load_crps(tmp_path / "cr.csv")
 
+    # a meta key is set once; its repeat is named at its own line
+    (tmp_path / "dup.csv").write_bytes(b"\n".join(
+        head[:2] + [b"# meta seed=1", b"# meta seed=2"] + head[2:] + [b"A5,1"])
+        + b"\n")
+    with pytest.raises(DatasetError, match="line 4: repeated meta key 'seed'"):
+        load_crps(tmp_path / "dup.csv")
+
     # a form feed is not a line break: strip() drops it from line 4, and the
     # bad row on line 5 is still reported as line 5
     (tmp_path / "ff.csv").write_bytes(
