@@ -65,7 +65,7 @@ class Opt:
         return self.name.replace("-", "_")
 
 
-def _number(cast, rule="", ok=None):
+def _value(cast, rule="", ok=None):
     """Parser that casts, requires a float to be finite, then checks ``ok``."""
     def parse(text):
         value = cast(text)
@@ -77,26 +77,16 @@ def _number(cast, rule="", ok=None):
     return parse
 
 
-_pos_int = _number(int, "must be >= 1", lambda v: v >= 1)
-_nonneg_int = _number(int, "must be >= 0", lambda v: v >= 0)
-_float = _number(float)
-_pos_float = _number(float, "must be > 0", lambda v: v > 0)
-_nonneg_float = _number(float, "must be >= 0", lambda v: v >= 0)
-_fraction = _number(float, "must be strictly between 0 and 1",
-                    lambda v: 0.0 < v < 1.0)
-
-
-def _features(text):
-    try:
-        return FeatureKind(str(text))
-    except ValueError:
-        raise ValueError("must be 'raw' or 'parity'") from None
-
-
-def _path(text):
-    if not str(text):
-        raise ValueError("empty path")
-    return str(text)
+_pos_int = _value(int, "must be >= 1", lambda v: v >= 1)
+_nonneg_int = _value(int, "must be >= 0", lambda v: v >= 0)
+_float = _value(float)
+_pos_float = _value(float, "must be > 0", lambda v: v > 0)
+_nonneg_float = _value(float, "must be >= 0", lambda v: v >= 0)
+_fraction = _value(float, "must be strictly between 0 and 1",
+                   lambda v: 0.0 < v < 1.0)
+_features = _value(str, "must be 'raw' or 'parity'",
+                   lambda v: v in {k.value for k in FeatureKind})
+_path = _value(str, "empty path", bool)
 
 
 def _list_of(parse):
@@ -112,7 +102,7 @@ def _list_of(parse):
 def _read_config(path):
     try:
         with open(path, "rb") as fh:
-            raw_lines = fh.read().splitlines()
+            raw_lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     config = {}
@@ -152,29 +142,27 @@ def _merge(args, opts, command):
                 raise UsageError(f"missing required option --{opt.name}")
             merged[opt.dest] = opt.default
             continue
-        if isinstance(raw, str):
-            try:
-                raw = opt.parse(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value for --{opt.name}: {exc}") from None
-        merged[opt.dest] = raw
+        try:
+            merged[opt.dest] = opt.parse(raw)
+        except ValueError as exc:
+            raise UsageError(f"bad value for --{opt.name}: {exc}") from None
     return SimpleNamespace(**merged)
 
 
-def _echo_lines(ns, opts, extra=(), skip=("out",)):
-    """Comment lines restating the options a run used, for self-describing files.
-    A character outside printable ASCII is written as its Python escape, so each
-    option echoes as one ASCII line."""
-    lines = []
-    for key, value in [*extra, *((o.dest, getattr(ns, o.dest)) for o in opts
-                                 if o.dest not in skip)]:
-        if value is None:
-            value = "-"
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append("".join(c if " " <= c <= "~" else ascii(c)[1:-1]
-                             for c in f"# {key}={value}"))
-    return lines
+def _text(value):
+    """An option value as one printable-ASCII string: None as '-', a tuple as a
+    comma list, and a character outside printable ASCII as its Python escape."""
+    if value is None:
+        value = "-"
+    elif isinstance(value, tuple):
+        value = ",".join(str(v) for v in value)
+    return "".join(c if " " <= c <= "~" else ascii(c)[1:-1] for c in str(value))
+
+
+def _echo_lines(ns, opts, extra=()):
+    """Comment lines restating the options a run used, for self-describing files."""
+    pairs = [*extra, *((o.dest, getattr(ns, o.dest)) for o in opts if o.name != "out")]
+    return [f"# {key}={_text(value)}" for key, value in pairs]
 
 
 def _write_text(path, lines):
@@ -201,7 +189,7 @@ DELAY_OPTS = (
         "std-dev of the per-path delay distribution"),
 )
 
-FEATURES_OPT = Opt("features", _features, FeatureKind.PARITY,
+FEATURES_OPT = Opt("features", _features, "parity",
                    "challenge encoding: 'parity' or 'raw'")
 
 TRAIN_OPTS = (
@@ -225,15 +213,17 @@ GENERATE_OPTS = (
 )
 
 
+def _draw(ns):  # bank, seed and delay options for generate_crps and evaluate_quality
+    return dict(width=ns.chains, seed=ns.seed, noise_sigma=ns.noise_sigma,
+                params=DelayParams(ns.delay_mean, ns.delay_sigma))
+
+
 def cmd_generate(ns) -> int:
-    params = DelayParams(ns.delay_mean, ns.delay_sigma)
-    crps = generate_crps(ns.n, ns.count, width=ns.chains, seed=ns.seed,
-                         params=params, noise_sigma=ns.noise_sigma)
+    crps = generate_crps(ns.n, ns.count, **_draw(ns))
     save_crps(ns.out, crps)
-    seed_txt = "-" if ns.seed is None else ns.seed
-    print(f"wrote {ns.out}: {len(crps)} rows, "
+    print(f"wrote {_text(ns.out)}: {len(crps)} rows, "
           f"challenge_bits={crps.challenge_bits} "
-          f"response_bits={crps.response_bits}, seed={seed_txt}")
+          f"response_bits={crps.response_bits}, seed={_text(ns.seed)}")
     return 0
 
 
@@ -293,9 +283,7 @@ SWEEP_OPTS = (
 
 
 def cmd_sweep(ns) -> int:
-    params = DelayParams(ns.delay_mean, ns.delay_sigma)
-    full = generate_crps(ns.n, max(ns.counts), width=ns.chains, seed=ns.seed,
-                         params=params, noise_sigma=ns.noise_sigma)
+    full = generate_crps(ns.n, max(ns.counts), **_draw(ns))
     grid = attack_grid(full, ns.counts, ns.fractions, seed=ns.seed, **_fit(ns))
     reports = [report for row in grid for report in row]
     lines = _echo_lines(ns, SWEEP_OPTS)
@@ -331,15 +319,11 @@ METRICS_OPTS = (
 
 
 def cmd_metrics(ns) -> int:
-    params = DelayParams(ns.delay_mean, ns.delay_sigma)
-    report = evaluate_quality(ns.n, ns.instances, ns.challenges,
-                              width=ns.chains, repeats=ns.repeats,
-                              noise_sigma=ns.noise_sigma, seed=ns.seed,
-                              params=params)
-    for line in report.lines():
-        print(line)
+    lines = evaluate_quality(ns.n, ns.instances, ns.challenges,
+                             repeats=ns.repeats, **_draw(ns)).lines()
+    print("\n".join(lines))
     if ns.out:
-        _write_text(ns.out, report.lines())
+        _write_text(ns.out, lines)
     return 0
 
 
@@ -420,14 +404,8 @@ def _build_parser():
         if name == "attack":
             p.add_argument("dataset", help="dataset to attack (puf-crp v1 file)")
         for opt in opts:
-            if opt.default is REQUIRED:
-                suffix = " (required)"
-            elif opt.default is None:
-                suffix = ""
-            elif isinstance(opt.default, tuple):
-                suffix = " (default " + ",".join(str(v) for v in opt.default) + ")"
-            else:
-                suffix = f" (default {opt.default})"
+            suffix = (" (required)" if opt.default is REQUIRED else
+                      "" if opt.default is None else f" (default {_text(opt.default)})")
             flags = ["-o", "--out"] if opt.name == "out" else [f"--{opt.name}"]
             p.add_argument(*flags, dest=opt.dest, default=None, metavar="V",
                            help=opt.help + suffix)

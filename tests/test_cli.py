@@ -178,9 +178,11 @@ def test_attack_reports_malformed_line(tmp_path, capsys):
 
 def test_attack_echoes_every_path_as_one_ascii_line(tmp_path, capsys):
     ds = tmp_path / "donn\u00e9es\n.csv"
-    assert main(["generate", "--n", "8", "--count", "40", "--seed", "3",
-                 "-o", str(ds)]) == 0
-    capsys.readouterr()
+    code, stdout, _ = run(capsys, "generate", "--n", "8", "--count", "40",
+                          "--seed", "3", "-o", str(ds))
+    assert code == 0
+    assert stdout == (f"wrote {tmp_path}/donn\\xe9es\\n.csv: 40 rows, "
+                      "challenge_bits=8 response_bits=1, seed=3\n")
     report = tmp_path / "rep.csv"
     code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "1",
                           "-o", str(report))
@@ -353,6 +355,11 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                      "--count", "120", "-o", str(out2))
     assert code == 0
     assert len(load_crps(out2)) == 120
+    # a UTF-8 byte-order mark before the first key is not part of it
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    code, _, err = run(capsys, "generate", "--config", str(cfg), "-o", str(out1))
+    assert (code, err) == (0, "")
+    assert len(load_crps(out1)) == 300
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -403,6 +410,25 @@ def test_no_command_prints_help(capsys):
 def test_unknown_command_and_flag(capsys):
     assert run(capsys, "explode")[0] == 1
     assert run(capsys, "generate", "--wat", "1")[0] == 1
+
+
+def test_help_states_each_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    pages = {}
+    for command in ("generate", "attack", "sweep", "metrics", "oracle-check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        pages[command] = " ".join(capsys.readouterr().out.split())
+    assert "challenge bits (stages per chain) (required)" in pages["generate"]
+    assert "dataset sizes; prefixes of one drawn dataset (default 750,1650,2850,4920)" \
+        in pages["sweep"]
+    for command in ("attack", "sweep"):
+        assert "'parity' or 'raw' (default parity)" in pages[command]
+    for command in ("generate", "sweep", "metrics"):
+        assert "per-path delay distribution (default 10.0)" in pages[command]
+    assert "seed for the train/test split" in pages["attack"]
+    assert "seed for the train/test split (" not in pages["attack"]
 
 
 # ---------------------------------------------------------------------------
