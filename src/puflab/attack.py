@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import derive_seed
 from .crp import CrpSet, split_crps
-from .features import FeatureKind, feature_matrix
+from .features import feature_matrix
 
 __all__ = [
     "sigmoid",
@@ -161,8 +161,7 @@ def _descend(X, Y, lr, epochs, l2, tol):
         Ta -= lr * _gradient(X, Ta, np.subtract(_sigmoid(Z, E, S, T), Ya, out=S), l2)
         updates[cols] += 1
     theta[:, cols] = Ta
-    final = cross_entropy(theta, X, Y, l2=l2)
-    history.append(np.atleast_1d(np.asarray(final, dtype=np.float64)))
+    history.append(cross_entropy(theta, X, Y, l2=l2))
     return theta, updates, np.vstack(history)
 
 
@@ -197,7 +196,7 @@ class AttackReport:
 
 
 def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
-                   feature: FeatureKind = FeatureKind.PARITY,
+                   feature: str = "parity",
                    lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
                    l2: float = 0.0, tol: float = DEFAULT_TOL,
                    seed=None) -> AttackReport:
@@ -208,7 +207,6 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
     per-bit prediction rates; ``word_exact_rate`` is the fraction of test rows
     whose whole response word is reproduced.
     """
-    feature = FeatureKind(feature)
     train, test = split_crps(crps, test_fraction, seed=seed)
     X_train = feature_matrix(train.challenges, feature)
     X_test = feature_matrix(test.challenges, feature)
@@ -221,7 +219,7 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
     return AttackReport(
         crp_count=len(crps),
         test_fraction=test_fraction,
-        feature_map=str(feature),
+        feature_map=feature,
         per_bit_rate=tuple(float(r) for r in per_bit),
         mean_rate=float(per_bit.mean()),
         word_exact_rate=float(word_exact),

@@ -35,7 +35,7 @@ from .bits import HexFormatError, format_hex_word
 from .core import (DelayParams, all_challenges, derive_seed,
                    linear_disagreements, random_challenges, sample_chain)
 from .crp import DatasetError, generate_crps, load_crps, save_crps
-from .features import FeatureKind
+from .features import FEATURE_MAPS
 from .metrics import evaluate_quality
 
 __all__ = ["main", "entry", "UsageError"]
@@ -84,8 +84,7 @@ _pos_float = _value(float, "must be > 0", lambda v: v > 0)
 _nonneg_float = _value(float, "must be >= 0", lambda v: v >= 0)
 _fraction = _value(float, "must be strictly between 0 and 1",
                    lambda v: 0.0 < v < 1.0)
-_features = _value(str, "must be 'raw' or 'parity'",
-                   lambda v: v in {k.value for k in FeatureKind})
+_features = _value(str, "must be 'raw' or 'parity'", lambda v: v in FEATURE_MAPS)
 _path = _value(str, "empty path", bool)
 
 
@@ -422,7 +421,10 @@ def main(argv=None) -> int:
             return 1
         merged = _merge(args, args._opts, args._command)
         if args._command == "attack":
-            merged.dataset = args.dataset
+            try:
+                merged.dataset = _path(args.dataset)
+            except ValueError as exc:
+                raise UsageError(f"bad value for dataset: {exc}") from None
         return args._func(merged)
     except UsageError as exc:
         print(f"puflab: error: {exc}", file=sys.stderr)

@@ -335,27 +335,23 @@ class LinearModel:
     weights: np.ndarray
 
 
-def sample_chain(n: int, params: DelayParams = None, seed=None,
+def sample_chain(n: int, params: DelayParams = DelayParams(), seed=None,
                  noise_sigma: float = 0.0) -> ArbiterChain:
     """Draw a fresh n-stage chain, all 4n path delays i.i.d. normal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if params is None:
-        params = DelayParams()
     rng = np.random.default_rng(seed)
     delays = rng.normal(params.mean, params.sigma, size=(n, 4))
     return ArbiterChain(delays, noise_sigma=noise_sigma)
 
 
-def sample_multibit(n: int, width: int = None, params: DelayParams = None,
+def sample_multibit(n: int, width: int, params: DelayParams = DelayParams(),
                     seed=None, noise_sigma: float = 0.0) -> MultiBitPuf:
-    """Draw a multi-bit instance of ``width`` chains (default: width = n).
+    """Draw a multi-bit instance of ``width`` n-stage chains.
 
     Chain k is sampled from the child seed ``derive_seed(seed, k)``, so any
     single chain can be rebuilt without instantiating the whole bank.
     """
-    if width is None:
-        width = n
     if width < 1:
         raise ValueError("width must be >= 1")
     chains = [sample_chain(n, params=params, seed=derive_seed(seed, k),

@@ -42,8 +42,8 @@ MAGIC = "# puf-crp v1"
 COLUMNS = "challenge_hex,response_hex"
 
 _SHAPE_RE = re.compile(r"^# challenge_bits=(\d+) response_bits=(\d+)$")
-_META_RE = re.compile(r"^# meta ([A-Za-z0-9_.-]+)=(.*)$")
 _META_KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
+_META_RE = re.compile(rf"^# meta ({_META_KEY_RE.pattern})=(.*)$")
 
 
 class DatasetError(ValueError):
@@ -127,7 +127,8 @@ class CrpSet:
 
 
 def generate_crps(n: int, count: int, width: int = 1, seed=None,
-                  params: DelayParams = None, noise_sigma: float = 0.0) -> CrpSet:
+                  params: DelayParams = DelayParams(),
+                  noise_sigma: float = 0.0) -> CrpSet:
     """Sample a fresh instance and collect ``count`` uniformly random CRPs.
 
     All randomness branches off the one master seed -- instance delays, the
@@ -138,8 +139,6 @@ def generate_crps(n: int, count: int, width: int = 1, seed=None,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if params is None:
-        params = DelayParams()
     puf = sample_multibit(n, width, params=params, seed=derive_seed(seed, 0),
                           noise_sigma=noise_sigma)
     challenges = random_challenges(count, n, seed=derive_seed(seed, 1))

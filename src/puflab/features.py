@@ -1,7 +1,7 @@
 """Challenge encodings used by the modeling attack.
 
-Two maps from an n-bit challenge to an (n+1)-entry float vector over
-{-1, +1}, both with a fixed +1 bias as the last entry:
+The two ``FEATURE_MAPS`` from an n-bit challenge to an (n+1)-entry float
+vector over {-1, +1}, both with a fixed +1 bias as the last entry:
 
 * ``raw``    -- entry i is 1 - 2*c_i (bit 0 -> +1, bit 1 -> -1).
 * ``parity`` -- entry i is the product of (1 - 2*c_j) over j = i..n, the
@@ -13,29 +13,23 @@ Two maps from an n-bit challenge to an (n+1)-entry float vector over
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .bits import _bit_array
 
-__all__ = ["FeatureKind", "feature_matrix"]
+__all__ = ["FEATURE_MAPS", "feature_matrix"]
+
+FEATURE_MAPS = ("raw", "parity")
 
 
-class FeatureKind(str, Enum):
-    RAW = "raw"
-    PARITY = "parity"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def feature_matrix(challenges, kind: FeatureKind = FeatureKind.PARITY) -> np.ndarray:
+def feature_matrix(challenges, kind: str = "parity") -> np.ndarray:
     """Encode a batch of challenges as a C-contiguous (m, n+1) float64 matrix."""
+    if kind not in FEATURE_MAPS:
+        raise ValueError(f"feature map must be 'raw' or 'parity', not {kind!r}")
     bits = _bit_array(np.atleast_2d(challenges), "challenge bits")
     if bits.ndim != 2 or bits.shape[1] < 1:
         raise ValueError("challenges must be an (m, n) bit array with n >= 1")
-    if FeatureKind(kind) is FeatureKind.PARITY:
+    if kind == "parity":
         # scan the (n, m) transpose: one vector xor per stage across all rows
         bits = np.bitwise_xor.accumulate(bits.T[::-1], axis=0)[::-1].T
     feats = np.empty((bits.shape[0], bits.shape[1] + 1))

@@ -62,17 +62,15 @@ def uniqueness(stack) -> float:
     """Mean pairwise normalised Hamming distance across instances.
 
     ``stack`` holds one instance per leading index: (k, m) response bits or
-    (k, m, w) response words, all to the same challenges.
+    (k, m, w) response words, all to the same challenges.  A position where
+    ``ones`` of the k instances read 1 differs in ones * (k - ones) pairs.
     """
     arr = _bits(stack, "stack", 2, 3)
     k = arr.shape[0]
     if k < 2:
         raise ValueError("uniqueness needs at least two instances")
-    flat = arr.reshape(k, -1)
-    total = 0.0
-    for i in range(k - 1):
-        total += np.sum(np.mean(flat[i + 1:] != flat[i], axis=1))
-    return float(2.0 * total / (k * (k - 1)))
+    ones = arr.reshape(k, -1).sum(axis=0, dtype=np.int64)
+    return float(2 * np.sum(ones * (k - ones)) / (k * (k - 1) * ones.size))
 
 
 def bit_aliasing(stack) -> np.ndarray:
@@ -129,7 +127,7 @@ class QualityReport:
 
 def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
                      repeats: int = 5, noise_sigma: float = 0.0, seed=None,
-                     params: DelayParams = None) -> QualityReport:
+                     params: DelayParams = DelayParams()) -> QualityReport:
     """Sample a population and compute all four quality figures.
 
     Instance i is sampled from ``derive_seed(seed, 0, i)`` and its repeated

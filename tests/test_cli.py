@@ -149,6 +149,8 @@ def test_attack_usage_and_data_errors(big_dataset, tmp_path, capsys):
     assert code == 1 and "--test" in err
     code, _, err = run(capsys, "attack", str(tmp_path / "missing.csv"))
     assert code == 2 and "data error" in err
+    code, _, err = run(capsys, "attack", "")
+    assert (code, err) == (1, "puflab: error: bad value for dataset: empty path\n")
     code, _, err = run(capsys, "attack", str(big_dataset), "--features", "fft")
     assert code == 1 and "must be 'raw' or 'parity'" in err
     for flag in ("--lr", "--l2", "--tol", "--test"):

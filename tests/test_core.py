@@ -258,8 +258,8 @@ def test_stage_local_shifts_cancel():
 
 
 def test_multibit_width_and_chain_reconstruction():
-    puf = sample_multibit(16, seed=500)
-    assert puf.width == 16 and puf.n_stages == 16   # width defaults to n
+    puf = sample_multibit(16, 16, seed=500)
+    assert puf.width == 16 and puf.n_stages == 16
     narrow = sample_multibit(16, width=4, seed=500)
     assert narrow.width == 4
     for k in range(4):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from puflab.bits import format_hex_word
-from puflab.core import derive_seed, random_challenges, sample_multibit
+from puflab.core import (DelayParams, derive_seed, random_challenges,
+                         sample_multibit)
 from puflab.crp import (CrpSet, DatasetError, generate_crps, import_hex_rows,
                         load_crps, save_crps, split_crps)
 
@@ -114,6 +115,14 @@ def test_generate_is_reproducible():
     assert a.meta["generator"] == "arbiter-bank"
     c = generate_crps(16, 200, width=3, seed=12)
     assert not np.array_equal(a.responses, c.responses)
+
+
+def test_generate_default_params_are_delay_params():
+    a = generate_crps(8, 20, seed=3)
+    b = generate_crps(8, 20, seed=3, params=DelayParams())
+    assert np.array_equal(a.challenges, b.challenges)
+    assert np.array_equal(a.responses, b.responses)
+    assert a.meta == b.meta
 
 
 def test_generate_shapes_and_validation():

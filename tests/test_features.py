@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puflab.features import FeatureKind, feature_matrix
+from puflab.features import FEATURE_MAPS, feature_matrix
 
 
 def _reference(bits, kind):
@@ -18,11 +18,13 @@ def _reference(bits, kind):
 
 
 def test_kind_accepts_strings():
-    assert FeatureKind("parity") is FeatureKind.PARITY
-    assert FeatureKind("raw") is FeatureKind.RAW
-    assert str(FeatureKind.PARITY) == "parity"
-    with pytest.raises(ValueError):
-        FeatureKind("bogus")
+    from puflab.attack import attack_dataset
+    from puflab.crp import generate_crps
+    assert FEATURE_MAPS == ("raw", "parity")
+    with pytest.raises(ValueError, match="'raw' or 'parity'"):
+        feature_matrix([[0, 1]], "bogus")
+    with pytest.raises(ValueError, match="'raw' or 'parity'"):
+        attack_dataset(generate_crps(4, 20, seed=1), feature="bogus")
 
 
 def test_phi_hand_values():
@@ -42,7 +44,7 @@ def test_raw_hand_values():
 def test_shapes_and_dtype():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=(7, 12))
-    for kind in FeatureKind:
+    for kind in FEATURE_MAPS:
         feats = feature_matrix(bits, kind)
         assert feats.shape == (7, 13)
         assert feats.dtype == np.float64
@@ -103,7 +105,7 @@ def test_input_validation():
         feature_matrix([[0, 1], [1, 2]])
     # a fraction or NaN is rejected, not floored to 0 (which gave a -0.0 entry)
     for bad in ([[0.5, 1]], [[np.nan, 1]], [[1.0, 0.0], [0.0, 0.25]]):
-        for kind in FeatureKind:
+        for kind in FEATURE_MAPS:
             with pytest.raises(ValueError, match="challenge bits must be 0 or 1"):
                 feature_matrix(bad, kind)
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puflab.core import (BLOCK_ROWS, MultiBitPuf, derive_seed,
                          random_challenges, sample_chain, sample_multibit)
@@ -53,6 +55,15 @@ def test_uniqueness_order_invariant_and_word_shaped():
     assert uniqueness(stack) == pytest.approx(uniqueness(perm))
     words = stack.reshape(5, 10, 4)
     assert uniqueness(words) == pytest.approx(uniqueness(stack))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 12), shape=st.sampled_from([(1,), (7,), (5, 3), (40, 1)]),
+       p=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_uniqueness_is_the_mean_over_all_pairs(k, shape, p, seed):
+    stack = np.random.default_rng(seed).random((k, *shape)) < p
+    pairs = [np.mean(stack[i] != stack[j]) for i in range(k) for j in range(i + 1, k)]
+    assert uniqueness(stack) == pytest.approx(np.mean(pairs), rel=1e-12, abs=0)
 
 
 def test_uniqueness_validation():
