@@ -14,7 +14,7 @@ import numpy as np
 __all__ = ["HexFormatError", "parse_hex_word", "format_hex_word"]
 
 # Verilog-style width/base prefix in ASCII digits, e.g. "64h..." or "64'h...".
-_PREFIX = re.compile(r"^[0-9]+'?[hH]")
+_PREFIX = re.compile(r"^([0-9]+)'?[hH]")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -29,15 +29,17 @@ class HexFormatError(ValueError):
 def parse_hex_word(text: str, width: int) -> np.ndarray:
     """Parse a hex word into a bit vector of exactly ``width`` bits.
 
-    Accepts an optional Verilog-style prefix (``64h9283...``, ``64'h92...``)
-    or bare hex digits, case-insensitive.  Values shorter than the width are
-    left-padded with zero bits; more digits (or a larger value) than the
-    width allows raises :class:`HexFormatError`.
+    Accepts bare hex digits, case-insensitive, after an optional Verilog-style
+    prefix of this width (``64h9283...`` or ``64'h92...`` at width 64).  Shorter
+    values are left-padded with zero bits; another prefix width, or more digits
+    (or a larger value) than the width allows, raises :class:`HexFormatError`.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     token = text.strip()
     m = _PREFIX.match(token)
+    if m and int(m[1]) != width:
+        raise HexFormatError(f"prefix width {m[1]} is not {width} in {text!r}", offset=0)
     start = m.end() if m else 0
     digits = token[start:]
     if not digits:

@@ -333,17 +333,16 @@ ORACLE_OPTS = (
     Opt("n", _pos_int, None,
         "check a single stage count (exhaustive up to 16, else randomised)"),
     Opt("chains", _pos_int, 5, "chains sampled per stage count"),
-    Opt("random-width", _pos_int, 64, "stage count for the randomised pass"),
     Opt("random-count", _nonneg_int, 1000,
-        "random challenges in the randomised pass (0 disables; "
-        "--n above 16 needs >= 1)"),
+        "random challenges in the randomised pass, at 64 stages or at "
+        "--n above 16 (0 disables; --n above 16 needs >= 1)"),
     Opt("seed", _nonneg_int, 0, "seed for sampled chains and challenges"),
 )
 
 
 def cmd_oracle_check(ns) -> int:
     if ns.n is None:
-        exhaustive, random_n = range(1, 13), ns.random_width
+        exhaustive, random_n = range(1, 13), 64
     elif ns.n <= 16:
         exhaustive, random_n = [ns.n], None
     elif ns.random_count:

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import _bit_array
-from .features import feature_matrix
+from .features import _challenge_batch, feature_matrix
 
 __all__ = [
     "DelayParams",
@@ -166,16 +165,6 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
-def _as_batch(challenges, n: int):
-    """Validate challenges against an n-stage device; return ((m, n) array, single?)."""
-    bits = _bit_array(challenges, "challenge bits")
-    if bits.ndim not in (1, 2):
-        raise ValueError("challenges must be a 1-D or 2-D bit array")
-    if bits.shape[-1] != n:
-        raise ValueError(f"challenge has {bits.shape[-1]} bits, device expects {n}")
-    return np.atleast_2d(bits), bits.ndim == 1
-
-
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
 
@@ -213,8 +202,8 @@ class ArbiterChain:
         return self._noise_sigma
 
     def delta(self, challenges, noise_seed=None) -> np.ndarray:
-        """Final arrival-time difference (bottom - top) for each challenge."""
-        bits, single = _as_batch(challenges, self.n_stages)
+        """Final arrival-time difference (bottom - top), shape (m,)."""
+        bits = _challenge_batch(challenges, self.n_stages)
         m = bits.shape[0]
         top = np.zeros(m)
         bottom = np.zeros(m)
@@ -228,12 +217,11 @@ class ArbiterChain:
         if noise_seed is not None and self._noise_sigma > 0.0:
             rng = np.random.default_rng(noise_seed)
             diff = diff + self._noise_sigma * rng.standard_normal(m)
-        return diff[0] if single else diff
+        return diff
 
-    def respond(self, challenges, noise_seed=None):
-        """Response bit(s): 1 where the final difference is positive."""
-        resp = (self.delta(challenges, noise_seed=noise_seed) > 0).astype(np.uint8)
-        return int(resp) if resp.ndim == 0 else resp
+    def respond(self, challenges, noise_seed=None) -> np.ndarray:
+        """Response bits, shape (m,): 1 where the final difference is positive."""
+        return (self.delta(challenges, noise_seed=noise_seed) > 0).astype(np.uint8)
 
     def __repr__(self):
         return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self._noise_sigma})"
@@ -301,14 +289,14 @@ class MultiBitPuf:
         return out
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
-        """Response words, shape (m, width); a single challenge gives (width,).
+        """Response words, shape (m, width).
 
         Under noise every chain draws its own disturbance from a seed derived
         per chain index, so a word is reproducible from ``noise_seed`` alone
         and bit k matches ``chains[k].respond(c, derive_seed(noise_seed, k))``.
         ``noise_seed`` is None or an int in [0, 2**64).
         """
-        bits, single = _as_batch(challenges, self.n_stages)
+        bits = _challenge_batch(challenges, self.n_stages)
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
@@ -321,7 +309,7 @@ class MultiBitPuf:
             if draw:
                 diff += draw(block.shape[0])
             out[start:start + BLOCK_ROWS] = diff > 0
-        return out[0] if single else out
+        return out
 
     def __repr__(self):
         return f"MultiBitPuf(width={self.width}, n_stages={self.n_stages})"
@@ -399,6 +387,5 @@ def random_challenges(m: int, n: int, seed=None) -> np.ndarray:
 def linear_disagreements(chain: ArbiterChain, challenges) -> np.ndarray:
     """Indices of the challenges where the race and the one-chain bank, which
     responds through the folded weights, disagree; the result should be empty."""
-    bits, _ = _as_batch(challenges, chain.n_stages)
-    folded = MultiBitPuf([chain]).respond(bits)[:, 0]
-    return np.flatnonzero(chain.respond(bits) != folded)
+    folded = MultiBitPuf([chain]).respond(challenges)[:, 0]
+    return np.flatnonzero(chain.respond(challenges) != folded)

@@ -22,13 +22,21 @@ __all__ = ["FEATURE_MAPS", "feature_matrix"]
 FEATURE_MAPS = ("raw", "parity")
 
 
+def _challenge_batch(challenges, n=None) -> np.ndarray:
+    """Challenges as an (m, n) uint8 batch, a 1-D challenge as one row."""
+    bits = _bit_array(np.atleast_2d(challenges), "challenge bits")
+    if bits.ndim != 2 or bits.shape[1] < 1:
+        raise ValueError("challenges must be an (m, n) bit array with n >= 1")
+    if n is not None and bits.shape[1] != n:
+        raise ValueError(f"challenge has {bits.shape[1]} bits, device expects {n}")
+    return bits
+
+
 def feature_matrix(challenges, kind: str = "parity") -> np.ndarray:
     """Encode a batch of challenges as a C-contiguous (m, n+1) float64 matrix."""
     if kind not in FEATURE_MAPS:
         raise ValueError(f"feature map must be 'raw' or 'parity', not {kind!r}")
-    bits = _bit_array(np.atleast_2d(challenges), "challenge bits")
-    if bits.ndim != 2 or bits.shape[1] < 1:
-        raise ValueError("challenges must be an (m, n) bit array with n >= 1")
+    bits = _challenge_batch(challenges)
     if kind == "parity":
         # scan the (n, m) transpose: one vector xor per stage across all rows
         bits = np.bitwise_xor.accumulate(bits.T[::-1], axis=0)[::-1].T

@@ -30,6 +30,16 @@ def test_prefix_variants_and_case_agree():
         assert np.array_equal(parse_hex_word(text, 64), reference)
 
 
+def test_prefix_width_must_be_the_word_width():
+    with pytest.raises(HexFormatError) as exc:
+        parse_hex_word("8'hFFFF", 64)
+    assert str(exc.value) == "prefix width 8 is not 64 in \"8'hFFFF\""
+    assert exc.value.offset == 0
+    with pytest.raises(HexFormatError, match="prefix width 32 is not 64"):
+        parse_hex_word("32h0000ABCD", 64)
+    assert parse_hex_word("8hA5", 8).tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+
+
 def test_short_value_left_pads_with_zeros():
     bits = parse_hex_word("5", 16)
     assert bits[:13].tolist() == [0] * 13

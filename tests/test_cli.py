@@ -122,6 +122,15 @@ def test_attack_learns_and_reports(big_dataset, tmp_path, capsys):
     assert saved == [l for l in lines if l.startswith("#") or "," in l]
 
 
+def test_seedless_runs_echo_a_dash_for_the_seed(tmp_path, capsys):
+    out = tmp_path / "throwaway.csv"
+    code, stdout, _ = run(capsys, "generate", "--n", "8", "--count", "40",
+                          "-o", str(out))
+    assert code == 0 and stdout.rstrip("\n").endswith(", seed=-")
+    code, stdout, _ = run(capsys, "attack", str(out), "--epochs", "5")
+    assert code == 0 and "# seed=-" in stdout.splitlines()
+
+
 def test_attack_word_dataset_prints_per_bit_range(tmp_path, capsys):
     ds = tmp_path / "w.csv"
     assert main(["generate", "--n", "16", "--chains", "4", "--count", "400",
@@ -219,6 +228,12 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert "# counts=200" in lines
 
 
+def test_sweep_rejects_an_empty_count_list(capsys):
+    code, stdout, err = run(capsys, "sweep", "--n", "8", "--counts", "")
+    assert code == 1 and stdout == ""
+    assert err == "puflab: error: bad value for --counts: empty list\n"
+
+
 def test_sweep_prints_how_its_fits_ended(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--n", "16", "--chains", "2", "--counts", "150,300",
@@ -304,8 +319,12 @@ def test_oracle_check_default_scope(capsys):
     lines = stdout.splitlines()
     assert any(l.startswith("n=1:") for l in lines)
     assert any(l.startswith("n=12:") for l in lines)
-    assert any("challenges (random)" in l for l in lines)
+    assert "n=64: 1 chains x 50 challenges (random), 0 disagreements" in lines
     assert lines[-1].endswith("mismatches / 8240 checks")  # 2^1..2^12 + 50
+    # the random pass runs at 64 stages; no option sets another width
+    code, stdout, err = run(capsys, "oracle-check", "--random-width", "64")
+    assert code == 1 and stdout == ""
+    assert err.startswith("puflab: error: unrecognized arguments: --random-width")
 
 
 def test_oracle_check_random_count_zero(capsys):

@@ -164,8 +164,8 @@ def test_two_stage_race_traced_by_hand():
 
 def test_respond_shapes():
     chain = sample_chain(6, seed=9)
-    single = chain.respond([0, 1, 0, 1, 1, 0])
-    assert isinstance(single, int)
+    single = chain.respond([0, 1, 0, 1, 1, 0])   # a one-row batch
+    assert single.shape == (1,) and single.dtype == np.uint8
     batch = chain.respond(all_challenges(6))
     assert batch.shape == (64,) and batch.dtype == np.uint8
     assert batch[0b010110] == single
@@ -192,6 +192,26 @@ def test_challenge_validation():
 
 # ---------------------------------------------------------------------------
 # linear reduction
+
+
+def test_one_batch_rule_for_race_bank_and_features():
+    """A 1-D challenge is a one-row batch everywhere; deeper arrays are not."""
+    chain = sample_chain(4, seed=2)
+    bank = sample_multibit(4, width=3, seed=2)
+    cube = np.zeros((2, 2, 4), dtype=np.uint8)
+    for read_out in (chain.respond, chain.delta, bank.respond, feature_matrix):
+        with pytest.raises(ValueError, match=r"challenges must be an \(m, n\) "
+                                             r"bit array with n >= 1"):
+            read_out(cube)
+    one = [1, 0, 0, 1]
+    assert chain.delta(one).shape == (1,)
+    assert bank.respond(one, noise_seed=4).shape == (1, 3)
+    assert feature_matrix(one).shape == (1, 5)
+    with pytest.raises(ValueError, match="challenge has 3 bits, device expects 4"):
+        bank.respond([1, 0, 0])
+    assert linear_disagreements(chain, one).size == 0
+    assert np.array_equal(linear_disagreements(chain, one),
+                          linear_disagreements(chain, [one]))
 
 
 def test_to_linear_frozen_single_stage():
@@ -286,8 +306,8 @@ def test_multibit_word_is_per_chain_bits():
     words = _assert_chain_read_outs(puf, chal, 99)
     assert np.any(words != puf.respond(chal))
     single = puf.respond(chal[0])
-    assert single.shape == (5,)
-    assert np.array_equal(single, puf.respond(chal)[0])
+    assert single.shape == (1, 5)
+    assert np.array_equal(single, puf.respond(chal[:1]))
 
 
 def _mixed_bank():
@@ -347,7 +367,7 @@ def test_multibit_hand_built_word():
     up = ArbiterChain([[1.0, 2.0, 0.0, 0.0]])     # challenge 0 -> 1
     down = ArbiterChain([[5.0, 1.0, 0.0, 0.0]])   # challenge 0 -> 0
     puf = MultiBitPuf([up, down, up])
-    assert puf.respond([0]).tolist() == [1, 0, 1]
+    assert puf.respond([0]).tolist() == [[1, 0, 1]]
 
 
 def test_multibit_validation():

@@ -245,6 +245,18 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError, match="line 4: repeated meta key 'seed'"):
         load_crps(tmp_path / "dup.csv")
 
+    # a zero width, and a word prefix of another width, are named at their line
+    (tmp_path / "zero.csv").write_bytes(
+        b"\n".join([head[0], b"# challenge_bits=0 response_bits=1", head[2]]) + b"\n")
+    with pytest.raises(DatasetError, match="^line 2: challenge_bits and "
+                                           "response_bits must be >= 1$"):
+        load_crps(tmp_path / "zero.csv")
+    (tmp_path / "prefix.csv").write_bytes(
+        b"\n".join(head + [b"A5,1", b"16hA5,0"]) + b"\n")
+    with pytest.raises(DatasetError,
+                       match="^line 5: prefix width 16 is not 8 in '16hA5'$"):
+        load_crps(tmp_path / "prefix.csv")
+
     # a form feed is not a line break: strip() drops it from line 4, and the
     # bad row on line 5 is still reported as line 5
     (tmp_path / "ff.csv").write_bytes(
@@ -255,6 +267,16 @@ def test_load_reports_offending_line(tmp_path):
         b"\n".join(head + [b"A5,1\x0c", b"3C,0"]) + b"\n")
     assert load_crps(tmp_path / "ff_ok.csv").challenges.tolist() == [
         [1, 0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1, 0, 0]]
+
+
+def test_load_skips_blank_data_rows(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_text("# puf-crp v1\n# challenge_bits=8 response_bits=1\n"
+                    "challenge_hex,response_hex\nA5,1\n\n  \n3C,0\n\n")
+    crps = load_crps(path)
+    assert crps.challenges.tolist() == [[1, 0, 1, 0, 0, 1, 0, 1],
+                                        [0, 0, 1, 1, 1, 1, 0, 0]]
+    assert crps.responses.tolist() == [[1], [0]]
 
 
 def test_load_empty_dataset(tmp_path):
@@ -356,6 +378,13 @@ def test_import_skips_comments_and_blanks():
     crps, rejected = import_hex_rows(rows, 64, 64)
     assert rejected == []
     assert len(crps) == 2
+
+
+def test_import_rejects_a_prefix_of_another_width():
+    rows = ["32h0000ABCD\t1", "64h0000ABCD\t1"]
+    crps, rejected = import_hex_rows(rows, 64, 1)
+    assert rejected == [(1, "prefix width 32 is not 64 in '32h0000ABCD'")]
+    assert [format_hex_word(c) for c in crps.challenges] == ["000000000000ABCD"]
 
 
 def test_import_never_keeps_half_a_row():
