@@ -38,7 +38,7 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
         raise ValueError(f"width must be >= 1, got {width}")
     token = text.strip()
     m = _PREFIX.match(token)
-    if m and int(m[1]) != width:
+    if m and m[1].lstrip("0") != str(width):
         raise HexFormatError(f"prefix width {m[1]} is not {width} in {text!r}", offset=0)
     start = m.end() if m else 0
     digits = token[start:]

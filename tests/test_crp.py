@@ -263,19 +263,12 @@ def test_load_reports_offending_line(tmp_path):
         b"\n".join(head + [b"A5,1\x0c", b"ZZ,0"]) + b"\n")
     with pytest.raises(DatasetError, match="line 5: "):
         load_crps(tmp_path / "ff.csv")
+    # blank data rows, between the rows and after them, are skipped
     (tmp_path / "ff_ok.csv").write_bytes(
-        b"\n".join(head + [b"A5,1\x0c", b"3C,0"]) + b"\n")
-    assert load_crps(tmp_path / "ff_ok.csv").challenges.tolist() == [
+        b"\n".join(head + [b"A5,1\x0c", b"", b"  ", b"3C,0", b""]) + b"\n")
+    crps = load_crps(tmp_path / "ff_ok.csv")
+    assert crps.challenges.tolist() == [
         [1, 0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1, 0, 0]]
-
-
-def test_load_skips_blank_data_rows(tmp_path):
-    path = tmp_path / "blanks.csv"
-    path.write_text("# puf-crp v1\n# challenge_bits=8 response_bits=1\n"
-                    "challenge_hex,response_hex\nA5,1\n\n  \n3C,0\n\n")
-    crps = load_crps(path)
-    assert crps.challenges.tolist() == [[1, 0, 1, 0, 0, 1, 0, 1],
-                                        [0, 0, 1, 1, 1, 1, 0, 0]]
     assert crps.responses.tolist() == [[1], [0]]
 
 
@@ -385,6 +378,11 @@ def test_import_rejects_a_prefix_of_another_width():
     crps, rejected = import_hex_rows(rows, 64, 1)
     assert rejected == [(1, "prefix width 32 is not 64 in '32h0000ABCD'")]
     assert [format_hex_word(c) for c in crps.challenges] == ["000000000000ABCD"]
+    # a prefix too long for int() is rejected as that one row, not raised
+    huge = "9" * 5000 + "hABCD"
+    crps, rejected = import_hex_rows([huge + "\t1", "064hABCD\t1"], 64, 1)
+    assert rejected == [(1, f"prefix width {'9' * 5000} is not 64 in {huge!r}")]
+    assert len(crps) == 1
 
 
 def test_import_never_keeps_half_a_row():
