@@ -123,7 +123,11 @@ def _descend(X, Y, lr, epochs, l2, tol):
     ``history[t, j]`` is column j's loss after min(t, updates[j]) steps: row 0
     is the loss of the zero vector and frozen columns carry their last value
     forward, so every column's trace is the full loss trajectory of its own
-    independent descent.
+    descent.  That descent is independent of the other columns only up to
+    rounding: BLAS takes another path for a lone column than for a block, so
+    a bit fitted inside a word need not be bit-equal to the same bit fitted
+    alone (at 563 and 1500 rows, all 64 bits of a word differed in their last
+    bits).
 
     The active columns' weights ``Ta`` and labels ``Ya`` are contiguous blocks,
     compacted only on an epoch where a column stalls.  Every matrix product
@@ -146,11 +150,9 @@ def _descend(X, Y, lr, epochs, l2, tol):
         E, S, T = bufs[:, :Z.size].reshape(3, *Z.shape)
         np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
         cur = _loss(Ta, Z, E, Ya, l2, S, T)
-        row = prev.copy()
-        row[cols] = cur
-        history.append(row)
         stalled = (prev[cols] - cur) < tol
         prev[cols] = cur
+        history.append(prev.copy())
         if stalled.any():
             theta[:, cols[stalled]] = Ta[:, stalled]
             keep = ~stalled

@@ -15,7 +15,7 @@ __all__ = ["HexFormatError", "parse_hex_word", "format_hex_word"]
 
 # Verilog-style width/base prefix in ASCII digits, e.g. "64h..." or "64'h...".
 _PREFIX = re.compile(r"^([0-9]+)'?[hH]")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_NOT_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
 class HexFormatError(ValueError):
@@ -44,12 +44,10 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
     digits = token[start:]
     if not digits:
         raise HexFormatError(f"no hex digits in {text!r}", offset=start)
-    for i, ch in enumerate(digits):
-        if ch not in _HEX_DIGITS:
-            raise HexFormatError(
-                f"invalid hex character {ch!r} at offset {start + i} in {text!r}",
-                offset=start + i,
-            )
+    bad = _NOT_HEX.search(token, start)
+    if bad:
+        raise HexFormatError(f"invalid hex character {bad[0]!r} at offset "
+                             f"{bad.start()} in {text!r}", offset=bad.start())
     max_digits = (width + 3) // 4
     if len(digits) > max_digits:
         raise HexFormatError(

@@ -234,10 +234,13 @@ def _fit(ns):  # the feature map and training options, as attack_dataset takes t
     return dict(feature=ns.features, lr=ns.lr, epochs=ns.epochs, l2=ns.l2, tol=ns.tol)
 
 
-def _print_epochs(epochs_run, cap, what):  # stdout only: no comma, no leading '#'
-    capped = epochs_run.count(cap)
-    print(f"epochs: {capped}/{len(epochs_run)} {what} at the {cap}-epoch cap; "
-          f"{len(epochs_run) - capped} stalled")
+def _print_fits(reports, cap, what):  # stdout only: no comma, no leading '#'
+    epochs = [e for r in reports for e in r.epochs_run]
+    losses = [v for r in reports for v in r.final_loss]
+    capped = epochs.count(cap)
+    print(f"epochs: {capped}/{len(epochs)} {what} at the {cap}-epoch cap; "
+          f"{len(epochs) - capped} stalled")
+    print(f"final loss: min {min(losses):.4g} max {max(losses):.4g}")
 
 
 ATTACK_OPTS = (
@@ -258,7 +261,7 @@ def cmd_attack(ns) -> int:
     if len(report.per_bit_rate) > 1:
         print(f"per-bit rate: min {min(report.per_bit_rate):.4f} "
               f"max {max(report.per_bit_rate):.4f}")
-    _print_epochs(report.epochs_run, ns.epochs, "bits")
+    _print_fits([report], ns.epochs, "bits")
     if ns.out:
         _write_text(ns.out, lines)
     return 0
@@ -297,7 +300,7 @@ def cmd_sweep(ns) -> int:
         print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
     print(f"mean rate over {len(reports)} cells: "
           f"{np.mean([r.mean_rate for r in reports]):.4f}")
-    _print_epochs([e for r in reports for e in r.epochs_run], ns.epochs, "bit fits")
+    _print_fits(reports, ns.epochs, "bit fits")
     if ns.out:
         _write_text(ns.out, lines)
     return 0

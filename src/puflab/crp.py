@@ -244,21 +244,21 @@ def import_hex_rows(source, challenge_bits: int, response_bits: int):
     """Lenient import of externally logged CRP tables.
 
     ``source`` is a path (``str``, ``bytes`` or path-like, as for ``open``) or
-    an iterable of text lines.  Each data row holds a challenge word and a
-    response word separated by whitespace or a comma; challenge words may
-    carry a Verilog-style width prefix (``64h9283c...``).  Blank lines and
+    an iterable of text or bytes lines.  Each data row holds a challenge word
+    and a response word separated by whitespace or a comma; challenge words
+    may carry a Verilog-style width prefix (``64h9283c...``).  Blank lines and
     ``#`` comments are skipped.  Malformed rows do not abort the import: they
-    are collected as ``(line_number, reason)`` pairs.  A file is read as bytes
-    and a non-ASCII byte decodes to U+FFFD, so only its row is rejected.
+    are collected as ``(line_number, reason)`` pairs.  Bytes (a file is read
+    as bytes) decode as ASCII with a non-ASCII byte as U+FFFD, so only its
+    row is rejected.
 
     Returns ``(crps, rejected)`` where ``crps`` covers the well-formed rows.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(os.fspath(source), "rb") as fh:
-            lines = [line.decode("ascii", "replace")
-                     for line in fh.read().splitlines()]
-    else:
-        lines = [str(line).rstrip("\n") for line in source]
+            source = fh.read().splitlines()
+    lines = [line.decode("ascii", "replace") if isinstance(line, bytes) else str(line)
+             for line in source]
 
     challenges, responses, rejected = [], [], []
     for lineno, raw in enumerate(lines, start=1):

@@ -39,7 +39,6 @@ __all__ = [
     "uniformity",
     "uniqueness",
     "bit_aliasing",
-    "reliability",
     "QualityReport",
     "evaluate_quality",
 ]
@@ -79,15 +78,6 @@ def bit_aliasing(stack) -> np.ndarray:
     if arr.ndim == 2:
         arr = arr[:, :, None]
     return arr.mean(axis=(0, 1))
-
-
-def reliability(reference, repeats) -> float:
-    """1 - mean flip rate of repeated read-outs against a reference read-out."""
-    ref = _bits(reference, "reference", 1, 2)
-    reps = _bits(repeats, "repeats", ref.ndim + 1, ref.ndim + 1)
-    if reps.shape[1:] != ref.shape:
-        raise ValueError("repeats must stack measurements shaped like the reference")
-    return float(1.0 - np.count_nonzero(reps != ref) / reps.size)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, config handling, exit codes."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -138,18 +139,19 @@ def test_attack_word_dataset_prints_per_bit_range(tmp_path, capsys):
     code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5")
     assert code == 0
     lines = stdout.splitlines()
-    assert lines[-2].startswith("per-bit rate: min")
-    assert lines[-1].startswith("epochs: ") and lines[-1].endswith(" stalled")
+    assert lines[-3].startswith("per-bit rate: min")
+    assert lines[-2].startswith("epochs: ") and lines[-2].endswith(" stalled")
+    assert re.fullmatch(r"final loss: min \S+ max \S+", lines[-1])
     # how training ended, from AttackReport.epochs_run
     code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5",
                           "--epochs", "40", "--tol", "0")
     assert code == 0
-    assert stdout.splitlines()[-1] == ("epochs: 4/4 bits at the 40-epoch cap; "
+    assert stdout.splitlines()[-2] == ("epochs: 4/4 bits at the 40-epoch cap; "
                                        "0 stalled")
     # no epoch improves the loss by 10, so every bit stops after its first
     code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5", "--tol", "10")
     assert code == 0
-    assert stdout.splitlines()[-1] == ("epochs: 0/4 bits at the 500-epoch cap; "
+    assert stdout.splitlines()[-2] == ("epochs: 0/4 bits at the 500-epoch cap; "
                                        "4 stalled")
 
 
@@ -241,12 +243,13 @@ def test_sweep_prints_how_its_fits_ended(tmp_path, capsys):
     # no epoch improves the loss by 10, so every fit stops after its first
     code, stdout, _ = run(capsys, *args, "--tol", "10")
     assert code == 0
-    assert stdout.splitlines()[-1] == ("epochs: 0/8 bit fits at the 500-epoch "
+    assert stdout.splitlines()[-2] == ("epochs: 0/8 bit fits at the 500-epoch "
                                        "cap; 8 stalled")
     assert "epochs:" not in out.read_text()
+    assert "final loss" not in out.read_text()
     code, stdout, _ = run(capsys, *args, "--epochs", "30", "--tol", "0")
     assert code == 0
-    assert stdout.splitlines()[-1] == ("epochs: 8/8 bit fits at the 30-epoch "
+    assert stdout.splitlines()[-2] == ("epochs: 8/8 bit fits at the 30-epoch "
                                        "cap; 0 stalled")
 
 

@@ -1,5 +1,7 @@
 """Dataset generation, the puf-crp v1 file format, splitting and import."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -355,14 +357,16 @@ def test_import_from_bytes_path(tmp_path):
 
 
 def test_import_from_file_rejects_only_the_non_ascii_row(tmp_path):
+    table = "# captured at 20\u00b0C\n0,1\n\u00c9F,1\n3,0\n".encode("utf-8")
     path = tmp_path / "logged.txt"
-    path.write_text("# captured at 20\u00b0C\n0,1\n\u00c9F,1\n3,0\n",
-                    encoding="utf-8")
-    crps, rejected = import_hex_rows(path, 8, 1)
-    assert [line for line, _ in rejected] == [3]
-    assert "invalid hex character" in rejected[0][1]
-    assert crps.challenges.tolist() == [[0] * 8, [0] * 6 + [1, 1]]
-    assert crps.responses.tolist() == [[1], [0]]
+    path.write_bytes(table)
+    # bytes lines, as io.BytesIO or a file opened "rb" gives them, read as the path
+    for source in (path, io.BytesIO(table), table.splitlines(keepends=True)):
+        crps, rejected = import_hex_rows(source, 8, 1)
+        assert [line for line, _ in rejected] == [3]
+        assert rejected[0][1] == "invalid hex character '\ufffd' at offset 0 in '\ufffd\ufffdF'"
+        assert crps.challenges.tolist() == [[0] * 8, [0] * 6 + [1, 1]]
+        assert crps.responses.tolist() == [[1], [0]]
 
 
 def test_import_skips_comments_and_blanks():

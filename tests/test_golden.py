@@ -54,3 +54,10 @@ def test_seeded_artifact_digest(workdir, capsys, argv, artifact, digest):
     capsys.readouterr()
     got = hashlib.sha256((workdir / artifact).read_bytes()).hexdigest()
     assert got == digest
+
+
+def test_golden_attack_prints_its_final_loss(workdir, capsys):
+    # to 4 significant digits the line holds on 1 and 4 BLAS threads alike
+    assert main(["attack", "gen.csv", "--test", "0.2", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "final loss: min 0.1797 max 0.1926"

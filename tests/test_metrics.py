@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from puflab.core import (BLOCK_ROWS, MultiBitPuf, derive_seed,
                          random_challenges, sample_chain, sample_multibit)
 from puflab.metrics import (QualityReport, bit_aliasing, evaluate_quality,
-                            reliability, uniformity, uniqueness)
+                            uniformity, uniqueness)
 
 
 # ---------------------------------------------------------------------------
@@ -100,30 +100,6 @@ def test_bit_aliasing_single_bit_is_pooled_uniformity():
 
 
 # ---------------------------------------------------------------------------
-# reliability
-
-
-def test_reliability_hand_values():
-    ref = np.zeros(10, dtype=np.uint8)
-    reps = np.zeros((1, 10), dtype=np.uint8)
-    assert reliability(ref, reps) == 1.0
-    reps[0, 3] = 1
-    assert reliability(ref, reps) == pytest.approx(0.9)
-    ref2 = np.zeros((4, 2), dtype=np.uint8)
-    reps2 = np.zeros((3, 4, 2), dtype=np.uint8)
-    reps2[0, 0, 0] = 1
-    reps2[2, 3, 1] = 1
-    assert reliability(ref2, reps2) == pytest.approx(11.0 / 12.0)
-
-
-def test_reliability_validation():
-    with pytest.raises(ValueError):
-        reliability(np.zeros(4, dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        reliability(np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-
-
-# ---------------------------------------------------------------------------
 # whole studies
 
 
@@ -199,7 +175,7 @@ def _reference_quality(n, instances, challenges, width=1, repeats=5,
         repeats=repeats, noise_sigma=noise_sigma, seed=seed,
         uniformity=uniformity(stack.reshape(instances, -1)),
         uniqueness=uniqueness(stack),
-        reliability=reliability(stack.reshape(-1), noisy.reshape(repeats, -1)),
+        reliability=float(1.0 - np.count_nonzero(noisy != stack) / noisy.size),
         bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)))
 
 
