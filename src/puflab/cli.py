@@ -41,7 +41,7 @@ from .metrics import evaluate_quality
 __all__ = ["main", "entry", "UsageError"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad command line, bad config file, or a bad parameter value."""
 
 
@@ -428,9 +428,6 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise UsageError(f"bad value for dataset: {exc}") from None
         return args._func(merged)
-    except UsageError as exc:
-        print(f"puflab: error: {exc}", file=sys.stderr)
-        return 1
     except (DatasetError, HexFormatError, OSError) as exc:
         print(f"puflab: data error: {exc}", file=sys.stderr)
         return 2

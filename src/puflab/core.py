@@ -165,41 +165,35 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
+@dataclass(frozen=True, eq=False)
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
 
+    ``delays`` is a read-only (n, 4) array, columns (d_tt, d_bb, d_tb, d_bt).
     ``noise_sigma`` is the standard deviation of the Gaussian disturbance on
     the final delay difference; it is only applied when an evaluation is given
     an explicit ``noise_seed``, so the same instance serves as its own
     noise-free reference.
     """
 
-    __slots__ = ("_delays", "_noise_sigma")
+    delays: np.ndarray
+    noise_sigma: float = 0.0
 
-    def __init__(self, delays, noise_sigma: float = 0.0):
-        delays = np.array(delays, dtype=np.float64)
+    def __post_init__(self):
+        delays = np.array(self.delays, dtype=np.float64)
         if delays.ndim != 2 or delays.shape[1] != 4 or delays.shape[0] < 1:
             raise ValueError("delays must have shape (n, 4) with n >= 1")
         if not np.all(np.isfinite(delays)):
             raise ValueError("delays must be finite")
-        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and non-negative")
         delays.setflags(write=False)
-        self._delays = delays
-        self._noise_sigma = float(noise_sigma)
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
     @property
     def n_stages(self) -> int:
-        return self._delays.shape[0]
-
-    @property
-    def delays(self) -> np.ndarray:
-        """Read-only (n, 4) array, columns (d_tt, d_bb, d_tb, d_bt)."""
-        return self._delays
-
-    @property
-    def noise_sigma(self) -> float:
-        return self._noise_sigma
+        return self.delays.shape[0]
 
     def delta(self, challenges, noise_seed=None) -> np.ndarray:
         """Final arrival-time difference (bottom - top), shape (m,)."""
@@ -207,16 +201,16 @@ class ArbiterChain:
         m = bits.shape[0]
         top = np.zeros(m)
         bottom = np.zeros(m)
-        d_tt, d_bb, d_tb, d_bt = self._delays.T
+        d_tt, d_bb, d_tb, d_bt = self.delays.T
         for i in range(self.n_stages):
             crossed = bits[:, i] == 1
             new_top = np.where(crossed, bottom + d_bt[i], top + d_tt[i])
             new_bottom = np.where(crossed, top + d_tb[i], bottom + d_bb[i])
             top, bottom = new_top, new_bottom
         diff = bottom - top
-        if noise_seed is not None and self._noise_sigma > 0.0:
+        if noise_seed is not None and self.noise_sigma > 0.0:
             rng = np.random.default_rng(noise_seed)
-            diff = diff + self._noise_sigma * rng.standard_normal(m)
+            diff = diff + self.noise_sigma * rng.standard_normal(m)
         return diff
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
@@ -224,7 +218,7 @@ class ArbiterChain:
         return (self.delta(challenges, noise_seed=noise_seed) > 0).astype(np.uint8)
 
     def __repr__(self):
-        return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self._noise_sigma})"
+        return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self.noise_sigma})"
 
 
 class MultiBitPuf:

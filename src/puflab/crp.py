@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,51 +66,47 @@ def _as_bit_matrix(values, name):
     return arr
 
 
+@dataclass(frozen=True, eq=False)
 class CrpSet:
-    """Paired (m, n) challenges and (m, w) responses plus free-form metadata."""
+    """Paired (m, n) challenges and (m, w) responses plus free-form metadata.
 
-    __slots__ = ("_challenges", "_responses", "_meta")
+    The bit matrices are read-only and ``meta`` is a read-only mapping of str
+    to str; to change metadata, build a new set.
+    """
 
-    def __init__(self, challenges, responses, meta=None):
-        challenges = _as_bit_matrix(challenges, "challenges")
-        responses = _as_bit_matrix(responses, "responses")
+    challenges: np.ndarray
+    responses: np.ndarray
+    meta: object = None
+
+    def __post_init__(self):
+        challenges = _as_bit_matrix(self.challenges, "challenges")
+        responses = _as_bit_matrix(self.responses, "responses")
         if challenges.shape[0] != responses.shape[0]:
             raise ValueError("challenges and responses must have the same row count")
         if challenges.shape[1] < 1 or responses.shape[1] < 1:
             raise ValueError("challenge and response words need at least one bit")
-        meta = {} if meta is None else {str(k): str(v) for k, v in dict(meta).items()}
+        meta = {} if self.meta is None else {str(k): str(v)
+                                             for k, v in dict(self.meta).items()}
         for key, value in meta.items():
             if not _META_KEY_RE.fullmatch(key):
                 raise ValueError(f"bad meta key {key!r}")
             # save_crps writes ASCII and load_crps reads one value per line
             if not value.isascii() or "".join(value.splitlines()) != value:
                 raise ValueError(f"meta value for {key!r} must be one line of ASCII")
-        self._challenges = challenges
-        self._responses = responses
-        self._meta = meta
-
-    @property
-    def challenges(self) -> np.ndarray:
-        return self._challenges
-
-    @property
-    def responses(self) -> np.ndarray:
-        return self._responses
-
-    @property
-    def meta(self) -> dict:
-        return dict(self._meta)
+        object.__setattr__(self, "challenges", challenges)
+        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "meta", MappingProxyType(meta))
 
     @property
     def challenge_bits(self) -> int:
-        return self._challenges.shape[1]
+        return self.challenges.shape[1]
 
     @property
     def response_bits(self) -> int:
-        return self._responses.shape[1]
+        return self.responses.shape[1]
 
     def __len__(self) -> int:
-        return self._challenges.shape[0]
+        return self.challenges.shape[0]
 
     def __repr__(self):
         return (f"CrpSet(rows={len(self)}, challenge_bits={self.challenge_bits}, "
@@ -123,7 +121,7 @@ class CrpSet:
         if idx.size and not -len(self) <= int(idx.min()) <= int(idx.max()) < len(self):
             raise IndexError(f"row index out of range for {len(self)} rows")
         idx = idx.astype(np.int64)
-        return CrpSet(self._challenges[idx], self._responses[idx], self._meta)
+        return CrpSet(self.challenges[idx], self.responses[idx], self.meta)
 
 
 def generate_crps(n: int, count: int, width: int = 1, seed=None,
@@ -160,9 +158,8 @@ def save_crps(path, crps: CrpSet):
     lines = [MAGIC,
              f"# challenge_bits={crps.challenge_bits} "
              f"response_bits={crps.response_bits}"]
-    meta = crps.meta
-    for key in sorted(meta):
-        lines.append(f"# meta {key}={meta[key]}")
+    for key in sorted(crps.meta):
+        lines.append(f"# meta {key}={crps.meta[key]}")
     lines.append(COLUMNS)
     for chal, resp in zip(crps.challenges, crps.responses):
         lines.append(f"{format_hex_word(chal)},{format_hex_word(resp)}")

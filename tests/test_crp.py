@@ -47,6 +47,25 @@ def test_crpset_basic():
     assert sub.meta == {"seed": "9"}
 
 
+def test_chain_and_crp_set_are_frozen():
+    bank = sample_multibit(8, 1, seed=7)
+    chain = bank.chains[0]
+    crps = CrpSet([[0, 1]], [[1]], {"note": "a"})
+    for obj, field, new in [(chain, "delays", np.zeros((8, 4))),
+                            (chain, "noise_sigma", 1.0),
+                            (crps, "challenges", [[1, 1]]),
+                            (crps, "meta", {})]:
+        with pytest.raises(AttributeError):   # FrozenInstanceError
+            setattr(obj, field, new)
+    with pytest.raises(TypeError):
+        crps.meta["note"] = "x"
+    assert crps.meta == {"note": "a"}
+    assert crps.challenges.tolist() == [[0, 1]]
+    # the bank folded the chain when built; the chain still races the same delays
+    chal = random_challenges(300, 8, seed=8)
+    assert np.array_equal(bank.respond(chal)[:, 0], chain.respond(chal))
+
+
 def test_subset_takes_only_integer_indices():
     crps = CrpSet([[0, 0], [0, 1], [1, 0], [1, 1]], [[0], [1], [0], [1]])
     # a mask is not a row list, and a float index is not a row
@@ -191,80 +210,93 @@ def test_load_reports_offending_line(tmp_path):
     bad = lines.copy()
     bad[0] = "# wrong magic"
     (tmp_path / "m.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match="line 1"):
+    with pytest.raises(DatasetError, match="line 1") as exc:
         load_crps(tmp_path / "m.csv")
+    assert exc.value.line == 1
 
     bad = lines.copy()
     bad[1] = "# challenge_bits=x response_bits=1"
     (tmp_path / "s.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match="line 2"):
+    with pytest.raises(DatasetError, match="line 2") as exc:
         load_crps(tmp_path / "s.csv")
+    assert exc.value.line == 2
 
     bad = lines.copy()
     bad.insert(2, "# stray comment")
     (tmp_path / "c.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match="line 3"):
+    with pytest.raises(DatasetError, match="line 3") as exc:
         load_crps(tmp_path / "c.csv")
+    assert exc.value.line == 3
 
     bad = [l for l in lines if l != "challenge_hex,response_hex"]
     (tmp_path / "h.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match="challenge_hex,response_hex"):
+    with pytest.raises(DatasetError, match="challenge_hex,response_hex") as exc:
         load_crps(tmp_path / "h.csv")
+    assert exc.value.line == lines.index("challenge_hex,response_hex") + 1
 
-    # corrupt the third data row; header block of this file is 6 lines
+    # corrupt the third data row; header block of this file is 8 lines
     data_start = lines.index("challenge_hex,response_hex") + 1
     bad = lines.copy()
     bad[data_start + 2] = "ZZ,0"
     (tmp_path / "x.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match=f"line {data_start + 3}"):
+    with pytest.raises(DatasetError, match=f"line {data_start + 3}") as exc:
         load_crps(tmp_path / "x.csv")
+    assert exc.value.line == data_start + 3
 
     bad = lines.copy()
     bad[data_start] = "AB"
     (tmp_path / "f.csv").write_text("\n".join(bad) + "\n")
-    with pytest.raises(DatasetError, match=f"line {data_start + 1}"):
+    with pytest.raises(DatasetError, match=f"line {data_start + 1}") as exc:
         load_crps(tmp_path / "f.csv")
+    assert exc.value.line == data_start + 1
 
     bad = lines.copy()
     bad[data_start + 1] = "\u00c9F,1"
     (tmp_path / "u.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError,
-                       match=f"line {data_start + 2}: non-ASCII byte 0xC3"):
+                       match=f"line {data_start + 2}: non-ASCII byte 0xC3") as exc:
         load_crps(tmp_path / "u.csv")
+    assert exc.value.line == data_start + 2
 
     # rows and the non-ASCII line number come from one split of the bytes
     head = [b"# puf-crp v1", b"# challenge_bits=8 response_bits=1",
             b"challenge_hex,response_hex"]
     (tmp_path / "cr.csv").write_bytes(
         b"\r".join(head + [b"A5,1", b"\xC9F,0", b"3C,1"]) + b"\r")
-    with pytest.raises(DatasetError, match="line 5: non-ASCII byte 0xC9"):
+    with pytest.raises(DatasetError, match="line 5: non-ASCII byte 0xC9") as exc:
         load_crps(tmp_path / "cr.csv")
+    assert exc.value.line == 5
 
     # a meta key is set once; its repeat is named at its own line
     (tmp_path / "dup.csv").write_bytes(b"\n".join(
         head[:2] + [b"# meta seed=1", b"# meta seed=2"] + head[2:] + [b"A5,1"])
         + b"\n")
-    with pytest.raises(DatasetError, match="line 4: repeated meta key 'seed'"):
+    with pytest.raises(DatasetError,
+                       match="line 4: repeated meta key 'seed'") as exc:
         load_crps(tmp_path / "dup.csv")
+    assert exc.value.line == 4
 
     # a zero width, and a word prefix of another width, are named at their line
     (tmp_path / "zero.csv").write_bytes(
         b"\n".join([head[0], b"# challenge_bits=0 response_bits=1", head[2]]) + b"\n")
     with pytest.raises(DatasetError, match="^line 2: challenge_bits and "
-                                           "response_bits must be >= 1$"):
+                                           "response_bits must be >= 1$") as exc:
         load_crps(tmp_path / "zero.csv")
+    assert exc.value.line == 2
     (tmp_path / "prefix.csv").write_bytes(
         b"\n".join(head + [b"A5,1", b"16hA5,0"]) + b"\n")
     with pytest.raises(DatasetError,
-                       match="^line 5: prefix width 16 is not 8 in '16hA5'$"):
+                       match="^line 5: prefix width 16 is not 8 in '16hA5'$") as exc:
         load_crps(tmp_path / "prefix.csv")
+    assert exc.value.line == 5
 
     # a form feed is not a line break: strip() drops it from line 4, and the
     # bad row on line 5 is still reported as line 5
     (tmp_path / "ff.csv").write_bytes(
         b"\n".join(head + [b"A5,1\x0c", b"ZZ,0"]) + b"\n")
-    with pytest.raises(DatasetError, match="line 5: "):
+    with pytest.raises(DatasetError, match="line 5: ") as exc:
         load_crps(tmp_path / "ff.csv")
+    assert exc.value.line == 5
     # blank data rows, between the rows and after them, are skipped
     (tmp_path / "ff_ok.csv").write_bytes(
         b"\n".join(head + [b"A5,1\x0c", b"", b"  ", b"3C,0", b""]) + b"\n")
