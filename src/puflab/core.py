@@ -1,12 +1,13 @@
 """Delay-race simulation of arbiter chains.
 
 An arbiter chain switches a rising edge through ``n`` two-input stages.  Each
-stage holds four path delays (d_tt, d_bb, d_tb, d_bt).  With challenge bit 0
-the stage passes both signals straight through (top += d_tt, bottom += d_bb);
-with bit 1 it crosses them (new top = old bottom + d_bt, new bottom =
-old top + d_tb).  The arbiter at the end compares arrival times and outputs 1
-exactly when the bottom signal arrives later (bottom - top > 0); a dead heat
-counts as 0.
+stage holds four path delays (d_tt, d_bb, d_tb, d_bt).  The race follows the
+two wires' arrival times (top, bottom).  With challenge bit 0 a stage passes
+both signals straight through and adds (d_tt, d_bb); with bit 1 it crosses
+them, swapping the two times before it adds (d_bt, d_tb), so the new top is
+the old bottom + d_bt and the new bottom the old top + d_tb.  The arbiter at
+the end compares arrival times and outputs 1 exactly when the bottom signal
+arrives later (bottom - top > 0); a dead heat counts as 0.
 
 The race is equivalent to a linear threshold function over the parity
 transform of the challenge: ``to_linear`` folds the 4n stage delays into n+1
@@ -196,21 +197,22 @@ class ArbiterChain:
         return self.delays.shape[0]
 
     def delta(self, challenges, noise_seed=None) -> np.ndarray:
-        """Final arrival-time difference (bottom - top), shape (m,)."""
+        """Final arrival-time difference (bottom - top), shape (m,).
+
+        ``times`` holds the two wires' arrival times, row 0 top and row 1
+        bottom.  A straight stage adds (d_tt, d_bb); a crossing stage swaps
+        the two times, then adds (d_bt, d_tb).  Each time takes one addition
+        per stage, in stage order.
+        """
         bits = _challenge_batch(challenges, self.n_stages)
-        m = bits.shape[0]
-        top = np.zeros(m)
-        bottom = np.zeros(m)
-        d_tt, d_bb, d_tb, d_bt = self.delays.T
-        for i in range(self.n_stages):
-            crossed = bits[:, i] == 1
-            new_top = np.where(crossed, bottom + d_bt[i], top + d_tt[i])
-            new_bottom = np.where(crossed, top + d_tb[i], bottom + d_bb[i])
-            top, bottom = new_top, new_bottom
-        diff = bottom - top
+        straight, swapped = self.delays[:, :2, None], self.delays[:, [3, 2], None]
+        times = np.zeros((2, len(bits)))
+        for crossed, d_straight, d_swapped in zip(bits.T.view(bool), straight, swapped):
+            times = np.where(crossed, times[::-1] + d_swapped, times + d_straight)
+        diff = times[1] - times[0]
         if noise_seed is not None and self.noise_sigma > 0.0:
             rng = np.random.default_rng(noise_seed)
-            diff = diff + self.noise_sigma * rng.standard_normal(m)
+            diff = diff + self.noise_sigma * rng.standard_normal(len(bits))
         return diff
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:

@@ -162,6 +162,31 @@ def test_two_stage_race_traced_by_hand():
     assert chain.respond(all_challenges(2)).tolist() == [1, 0, 0, 0]
 
 
+def _scalar_race(delays, challenge):
+    """The race on two floats, one addition per stage in stage order."""
+    top = bottom = 0.0
+    for (d_tt, d_bb, d_tb, d_bt), bit in zip(delays.tolist(), challenge.tolist()):
+        if bit:
+            top, bottom = bottom + d_bt, top + d_tb
+        else:
+            top, bottom = top + d_tt, bottom + d_bb
+    return bottom - top
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 70), m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_race_rounds_as_the_scalar_loop(n, m, seed):
+    """Bit for bit, sign bits included, also on a 0.1 grid, where exact ties
+    and the order of rounding decide the result."""
+    chal = random_challenges(m, n, seed=seed)
+    sampled = sample_chain(n, seed=seed).delays
+    for delays in (sampled, np.round(sampled, 1)):
+        got = ArbiterChain(delays).delta(chal)
+        want = np.array([_scalar_race(delays, c) for c in chal])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_respond_shapes():
     chain = sample_chain(6, seed=9)
     single = chain.respond([0, 1, 0, 1, 1, 0])   # a one-row batch
