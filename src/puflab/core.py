@@ -223,54 +223,53 @@ class ArbiterChain:
         return f"ArbiterChain(n_stages={self.n_stages}, noise_sigma={self.noise_sigma})"
 
 
+@dataclass(frozen=True, eq=False)
 class MultiBitPuf:
     """A bank of independent arbiter chains sharing one challenge.
 
     Chain k produces response bit k, so an instance with ``width`` chains of
-    n stages maps an n-bit challenge to a ``width``-bit response word.  The
-    chains are folded once, here, into an (n+1, width) weight matrix whose
-    column k is ``to_linear(chains[k]).weights``; responses come from that
-    matrix, not from the race.
+    n stages maps an n-bit challenge to a ``width``-bit response word.
+    ``chains`` is stored as a tuple.  The chains are folded once, here, into a
+    read-only (n+1, width) weight matrix whose column k is
+    ``to_linear(chains[k]).weights``; responses come from that matrix, not
+    from the race.
     """
 
-    __slots__ = ("_chains", "_weights", "_noise")
+    chains: tuple[ArbiterChain, ...]
 
-    def __init__(self, chains):
-        chains = tuple(chains)
-        if not chains:
+    def __post_init__(self):
+        object.__setattr__(self, "chains", tuple(self.chains))
+        if not self.chains:
             raise ValueError("need at least one chain")
-        n = chains[0].n_stages
-        if any(c.n_stages != n for c in chains):
+        if any(c.n_stages != self.n_stages for c in self.chains):
             raise ValueError("all chains must have the same number of stages")
-        self._chains = chains
-        self._weights = np.column_stack([to_linear(c).weights for c in chains])
-        self._noise = [(k, c.noise_sigma) for k, c in enumerate(chains)
-                       if c.noise_sigma > 0.0]
-
-    @property
-    def chains(self):
-        return self._chains
+        weights = np.column_stack([to_linear(c).weights for c in self.chains])
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def width(self) -> int:
-        return len(self._chains)
+        return len(self.chains)
 
     @property
     def n_stages(self) -> int:
-        return self._chains[0].n_stages
+        return self.chains[0].n_stages
 
     def _noise_draw(self, words):
         """``draw(m)``: the next m rows of (m, width) noise, noisy chain k's from
-        its stream seeded by ``words[k]``, one noise seed's ``_chain_streams`` row."""
+        its stream seeded by ``words[k]``, one noise seed's ``_chain_streams``
+        row; None for a bank with no noisy chain."""
+        noise = [(k, c.noise_sigma) for k, c in enumerate(self.chains)
+                 if c.noise_sigma > 0.0]
         rngs = [np.random.Generator(np.random.PCG64(_StreamWords(words[k])))
-                for k, _ in self._noise]
+                for k, _ in noise]
 
         def draw(m):
             out = np.zeros((m, self.width))
-            for (k, sigma), rng in zip(self._noise, rngs):
+            for (k, sigma), rng in zip(noise, rngs):
                 out[:, k] = sigma * rng.standard_normal(m)
             return out
-        return draw
+        return draw if noise else None
 
     def delta_of_features(self, feats) -> np.ndarray:
         """(m, width) noise-free differences of an (m, n+1) parity feature
@@ -296,8 +295,8 @@ class MultiBitPuf:
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
-        draw = (self._noise_draw(_chain_streams([noise_seed], self.width)[0])
-                if noise_seed is not None and self._noise else None)
+        draw = (None if noise_seed is None
+                else self._noise_draw(_chain_streams([noise_seed], self.width)[0]))
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]

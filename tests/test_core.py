@@ -1,5 +1,7 @@
 """Race simulation, linear reduction, seeding and challenge enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,33 @@ def test_multibit_hand_built_word():
     down = ArbiterChain([[5.0, 1.0, 0.0, 0.0]])   # challenge 0 -> 0
     puf = MultiBitPuf([up, down, up])
     assert puf.respond([0]).tolist() == [[1, 0, 1]]
+
+
+def test_bank_is_frozen():
+    """A bank is a frozen dataclass: its chains are a tuple that cannot be
+    rebound, its folded weights are read-only, and it compares by identity."""
+    chains = [sample_chain(6, seed=derive_seed(47, k)) for k in range(3)]
+    puf = MultiBitPuf(chains)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        puf.chains = chains[:1]
+    assert isinstance(puf.chains, tuple)
+    assert puf.chains == tuple(chains)
+    from_generator = MultiBitPuf(c for c in chains)
+    assert isinstance(from_generator.chains, tuple)
+    assert from_generator.chains == tuple(chains)
+    with pytest.raises(ValueError, match="read-only"):
+        puf._weights[0, 0] = 1.0
+    assert puf != from_generator and puf == puf
+    assert len({puf, from_generator, puf}) == 2   # hashable, by identity
+
+
+def test_quiet_bank_ignores_its_noise_seed():
+    """A bank of quiet chains draws no noise, whatever seed it is given."""
+    puf = sample_multibit(8, width=4, seed=48)
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=49)
+    clean = puf.respond(chal)
+    for noise_seed in (0, 7, 2 ** 64 - 1):
+        assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), clean)
 
 
 def test_multibit_validation():
