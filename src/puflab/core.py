@@ -28,8 +28,15 @@ so one challenge set is encoded once for many banks.
 Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
 for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` hashes
 many streams' SeedSequence words in one batched pass, and numpy's own PCG64 is
-built from them, exactly equal to ``default_rng(derive_seed(s, k))``; so a
-study seeds every stream it reads in two passes.
+built from them (``_rng``), exactly equal to ``default_rng(derive_seed(s, k))``.
+A bank with no noisy chain hashes no stream.
+
+A quality study samples its whole population in one pass,
+``_sample_population``: every bank's chain streams and the study's noise
+streams are hashed together, each chain draws its delays as
+``sample_multibit`` does, and one stacked ``_fold``, the elementwise
+arithmetic of ``to_linear``, gives every bank's weights bit for bit without
+building a chain or a bank.
 """
 
 from __future__ import annotations
@@ -166,6 +173,11 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
+def _rng(words):
+    """``default_rng(derive_seed(s, k))``, built from its ``_chain_streams`` words."""
+    return np.random.Generator(np.random.PCG64(_StreamWords(words)))
+
+
 @dataclass(frozen=True, eq=False)
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
@@ -255,21 +267,23 @@ class MultiBitPuf:
     def n_stages(self) -> int:
         return self.chains[0].n_stages
 
-    def _noise_draw(self, words):
+    def _noise_draw(self, noise_seed):
         """``draw(m)``: the next m rows of (m, width) noise, noisy chain k's from
-        its stream seeded by ``words[k]``, one noise seed's ``_chain_streams``
-        row; None for a bank with no noisy chain."""
+        its stream ``default_rng(derive_seed(noise_seed, k))``; None, with no
+        stream hashed, for no seed or a bank with no noisy chain."""
         noise = [(k, c.noise_sigma) for k, c in enumerate(self.chains)
                  if c.noise_sigma > 0.0]
-        rngs = [np.random.Generator(np.random.PCG64(_StreamWords(words[k])))
-                for k, _ in noise]
+        if noise_seed is None or not noise:
+            return None
+        words = _chain_streams([noise_seed], self.width)[0]
+        rngs = [_rng(words[k]) for k, _ in noise]
 
         def draw(m):
             out = np.zeros((m, self.width))
             for (k, sigma), rng in zip(noise, rngs):
                 out[:, k] = sigma * rng.standard_normal(m)
             return out
-        return draw if noise else None
+        return draw
 
     def delta_of_features(self, feats) -> np.ndarray:
         """(m, width) noise-free differences of an (m, n+1) parity feature
@@ -277,11 +291,7 @@ class MultiBitPuf:
         ``chains[k].delta(c)`` up to rounding, and ``> 0`` is ``respond(c)``."""
         if np.ndim(feats) != 2 or np.shape(feats)[1] != self.n_stages + 1:
             raise ValueError(f"features must have shape (m, {self.n_stages + 1})")
-        out = np.empty((len(feats), self.width))
-        for start in range(0, len(feats), BLOCK_ROWS):
-            out[start:start + BLOCK_ROWS] = (feats[start:start + BLOCK_ROWS]
-                                             @ self._weights)
-        return out
+        return _delta(feats, self._weights)
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
         """Response words, shape (m, width).
@@ -295,8 +305,7 @@ class MultiBitPuf:
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
-        draw = (None if noise_seed is None
-                else self._noise_draw(_chain_streams([noise_seed], self.width)[0]))
+        draw = self._noise_draw(noise_seed)
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
@@ -308,6 +317,15 @@ class MultiBitPuf:
 
     def __repr__(self):
         return f"MultiBitPuf(width={self.width}, n_stages={self.n_stages})"
+
+
+def _delta(feats, weights):
+    """(m, width) ``feats @ weights``, one product per ``BLOCK_ROWS`` rows: the
+    noise-free differences of a bank with (n+1, width) ``weights``."""
+    out = np.empty((len(feats), weights.shape[1]))
+    for start in range(0, len(feats), BLOCK_ROWS):
+        out[start:start + BLOCK_ROWS] = feats[start:start + BLOCK_ROWS] @ weights
+    return out
 
 
 @dataclass(frozen=True)
@@ -353,13 +371,35 @@ def to_linear(chain: ArbiterChain) -> LinearModel:
         w_k     = (a_{k-1} + b_{k-1}) / 2 + (a_k - b_k) / 2    (2 <= k <= n)
         w_{n+1} = (a_n + b_n) / 2
     """
-    d = chain.delays
-    a = d[:, 1] - d[:, 0]
-    b = d[:, 2] - d[:, 3]
-    w = np.append((a - b) / 2.0, 0.0)   # w_k gets (a_k - b_k) / 2,
-    w[1:] += (a + b) / 2.0              # w_{k+1} gets (a_k + b_k) / 2
+    w = _fold(chain.delays[None])[:, 0]
     w.setflags(write=False)
     return LinearModel(w)
+
+
+def _fold(delays):
+    """C-contiguous (..., n+1, width) weights of (..., width, n, 4) delays,
+    column k folding chain k; the arithmetic is elementwise, so a stacked fold
+    equals ``to_linear`` of each chain bit for bit."""
+    d = np.moveaxis(delays, -3, -1)     # (..., n, 4, width)
+    a, b = d[..., 1, :] - d[..., 0, :], d[..., 2, :] - d[..., 3, :]
+    w = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1]))
+    w[..., :-1, :] = (a - b) / 2.0      # w_k gets (a_k - b_k) / 2,
+    w[..., 1:, :] += (a + b) / 2.0      # w_{k+1} gets (a_k + b_k) / 2
+    return w
+
+
+def _sample_population(n, width, params, master, instances, noise_seeds):
+    """(instances, n+1, width) weights whose slice i is bank i's ``_weights``,
+    bank i being ``sample_multibit(n, width, params, derive_seed(master, 0, i))``;
+    and the ``_chain_streams`` words of the uint64 ``noise_seeds``, hashed in
+    the same pass as the banks' chain streams."""
+    keys = np.column_stack([np.zeros(instances, int), np.arange(instances)])
+    streams = _chain_streams(np.append(_derive_seeds(master, keys), noise_seeds), width)
+    delays = np.empty((instances, width, n, 4))
+    # zip stops after the banks' streams, the first instances * width
+    for chain, words in zip(delays.reshape(-1, n, 4), streams.reshape(-1, 4)):
+        chain[...] = _rng(words).normal(params.mean, params.sigma, (n, 4))
+    return _fold(delays), streams[instances:]
 
 
 def all_challenges(n: int) -> np.ndarray:

@@ -12,14 +12,20 @@ All figures live on [0, 1] and compare raw response bits:
 
 ``evaluate_quality`` runs the whole study from one master seed.  Noise seeds
 do not depend on the noise level, so studies that differ only in it see scaled
-copies of the same disturbances and comparable reliabilities.  The shared
-challenges are encoded once (m * (n+1) * 8 bytes of parity features, 0.5 MB at
-1000 x 64) and each instance's delay differences once; each noisy repeat adds
-its disturbances and is scored before the next, so memory does not grow with
-repeats.  A noise-free study runs no repeats.  Two batched passes up front hash
-the SeedSequence words of all instances x repeats x width noise streams, 32
-bytes a stream, and numpy's own PCG64 is built from them, exactly equal to
-``default_rng(derive_seed(s, k))``.
+copies of the same disturbances and comparable reliabilities.  The population
+is sampled and folded in one batched pass (``core._sample_population``), which
+holds every chain's delays at once (instances * width * n * 32 bytes, 6.5 MB
+at 50 x 64 x 64) and builds no chain or bank object; its weights equal those
+of ``sample_multibit`` bit for bit.  The shared challenges are encoded once
+(m * (n+1) * 8 bytes of parity features, 0.5 MB at 1000 x 64) and each
+instance's delay differences once, in the same ``BLOCK_ROWS`` products as a
+bank's read-out and one instance at a time, since a product stacked across
+instances rounds differently.  Each noisy repeat draws its width streams into
+one reused (width, m) buffer, adds the differences and is scored before the
+next, so memory does not grow with repeats.  A noise-free study runs no
+repeats.  The SeedSequence words of every chain and noise stream, 32 bytes a
+stream, are hashed in batched passes up front, and numpy's own PCG64 is built
+from them, exactly equal to ``default_rng(derive_seed(s, k))``.
 Without a seed the study draws one fresh master seed, derives everything from
 it and reports it as its seed, so the study can be rerun.
 """
@@ -31,8 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import _bit_array
-from .core import (DelayParams, _chain_streams, _derive_seeds, derive_seed,
-                   random_challenges, sample_multibit)
+from .core import (DelayParams, _delta, _derive_seeds, _rng, _sample_population,
+                   derive_seed, random_challenges)
+# perfbench's tracer wraps metrics.sample_multibit until ROADMAP item 1 retargets it
+from .core import sample_multibit  # noqa: F401
 from .features import feature_matrix
 
 __all__ = [
@@ -132,26 +140,31 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("challenges and repeats must be >= 1")
     if width < 1:
         raise ValueError("width must be >= 1")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError("noise_sigma must be finite and non-negative")
     if noise_sigma > 0 and repeats < 2:
         raise ValueError("a noisy reliability study needs at least two repeats")
     master = np.random.SeedSequence().entropy if seed is None else seed
-    # the noisy read-outs (i, t), keyed (2, i, t), and each one's chain streams
+    # the noisy read-outs (i, t), keyed (2, i, t), whose chain streams are hashed
+    # in one pass with the banks'
     reads = np.indices((instances, repeats if noise_sigma > 0 else 0)).reshape(2, -1).T
     noise_seeds = _derive_seeds(master, np.insert(reads, 0, 2, axis=1))
-    streams = _chain_streams(noise_seeds, width).reshape(instances, -1, width, 4)
     chal = random_challenges(challenges, n, seed=derive_seed(master, 1))
+    weights, streams = _sample_population(n, width, params, master, instances,
+                                          noise_seeds)
     feats = feature_matrix(chal, "parity")
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
+    noise = np.empty((width, challenges))
     flips = 0
-    for i in range(instances):
-        puf = sample_multibit(n, width, params=params,
-                              seed=derive_seed(master, 0, i),
-                              noise_sigma=noise_sigma)
-        diff = puf.delta_of_features(feats)
+    for i, repeat_words in enumerate(streams.reshape(instances, -1, width, 4)):
+        diff = _delta(feats, weights[i])   # per instance: stacked products move bits
         ref = stack[i] = diff > 0
-        for words in streams[i]:
-            noise = puf._noise_draw(words)(challenges)
-            flips += np.count_nonzero((diff + noise > 0) != ref)
+        for words in repeat_words:   # a noisy repeat: chain k's disturbance in row k
+            for row, chain_words in zip(noise, words):
+                _rng(chain_words).standard_normal(out=row)
+            noise *= noise_sigma
+            noise += diff.T
+            flips += np.count_nonzero((noise > 0) != ref.T)
     return QualityReport(
         n_stages=n,
         width=width,

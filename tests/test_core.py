@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import puflab.core
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
                          MultiBitPuf, _chain_streams, _derive_seeds,
-                         _StreamWords, all_challenges, derive_seed,
-                         linear_disagreements, random_challenges, sample_chain,
-                         sample_multibit, to_linear)
+                         _sample_population, _StreamWords, all_challenges,
+                         derive_seed, linear_disagreements, random_challenges,
+                         sample_chain, sample_multibit, to_linear)
 from puflab.features import feature_matrix
 
 
@@ -415,13 +415,39 @@ def test_bank_is_frozen():
     assert len({puf, from_generator, puf}) == 2   # hashable, by identity
 
 
-def test_quiet_bank_ignores_its_noise_seed():
-    """A bank of quiet chains draws no noise, whatever seed it is given."""
+def test_quiet_bank_ignores_its_noise_seed(monkeypatch):
+    """A bank of quiet chains draws no noise and hashes no noise stream,
+    whatever seed it is given."""
     puf = sample_multibit(8, width=4, seed=48)
     chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=49)
     clean = puf.respond(chal)
+
+    def no_streams(*args):
+        raise AssertionError("a quiet bank hashed its noise streams")
+    monkeypatch.setattr(puflab.core, "_chain_streams", no_streams)
     for noise_seed in (0, 7, 2 ** 64 - 1):
         assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), clean)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), width=st.integers(1, 8), instances=st.integers(1, 4),
+       master=st.sampled_from(MASTERS), mean=st.floats(-50, 50),
+       sigma=st.floats(0.01, 20), noisy=st.integers(0, 3))
+def test_population_weights_are_sampled_banks(n, width, instances, master, mean,
+                                              sigma, noisy):
+    """One batched pass gives every bank's folded weights bit for bit, each a
+    C-contiguous slice, and the noise seeds' chain streams beside them."""
+    params = DelayParams(mean, sigma)
+    noise_seeds = _derive_seeds(master, np.column_stack([np.full(noisy, 2),
+                                                         np.arange(noisy)]))
+    weights, streams = _sample_population(n, width, params, master, instances,
+                                          noise_seeds)
+    assert weights.shape == (instances, n + 1, width)
+    for i, w in enumerate(weights):
+        bank = sample_multibit(n, width, params=params, seed=derive_seed(master, 0, i))
+        assert w.flags.c_contiguous
+        assert np.array_equal(w, bank._weights)
+    assert np.array_equal(streams, _chain_streams(noise_seeds, width))
 
 
 def test_multibit_validation():

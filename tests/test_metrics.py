@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puflab.core import (BLOCK_ROWS, MultiBitPuf, derive_seed,
-                         random_challenges, sample_chain, sample_multibit)
+import puflab.metrics
+from puflab.core import (BLOCK_ROWS, derive_seed, random_challenges,
+                         sample_chain, sample_multibit)
 from puflab.metrics import (QualityReport, bit_aliasing, evaluate_quality,
                             uniformity, uniqueness)
 
@@ -107,7 +108,7 @@ def test_quality_study_noise_free(monkeypatch):
     # no chain is noisy, so the study draws no disturbances at all
     def no_noise(*args):
         raise AssertionError("a noise-free study drew noise")
-    monkeypatch.setattr(MultiBitPuf, "_noise_draw", no_noise)
+    monkeypatch.setattr(puflab.metrics, "_rng", no_noise)
     report = evaluate_quality(8, 2, 20, seed=7)
     assert report.reliability == 1.0
     assert report.seed == 7
@@ -179,17 +180,25 @@ def _reference_quality(n, instances, challenges, width=1, repeats=5,
         bit_aliasing=tuple(float(v) for v in bit_aliasing(stack)))
 
 
-@pytest.mark.parametrize("n, instances, challenges, width, repeats, sigma", [
-    (32, 3, 300, 1, 2, 0.1),
-    (32, 3, 300, 1, 2, 1.0),
-    (64, 4, 777, 4, 3, 0.2),
-    (16, 5, 513, 1, 4, 0.5),
-    (24, 3, 256, 6, 2, 0.0),
-])
+STUDIES = [  # n, instances, challenges, width, repeats, sigma, master seed
+    (32, 3, 300, 1, 2, 0.1, 61),
+    (32, 3, 300, 1, 2, 1.0, 61),
+    (64, 4, 777, 4, 3, 0.2, 61),
+    (16, 5, 513, 1, 4, 0.5, 61),
+    (24, 3, 256, 6, 2, 0.0, 61),
+    (64, 20, 1000, 4, 5, 0.05, 61),          # the population workload's size
+    (16, 4, 300, 3, 3, 0.3, 2 ** 64 + 61),   # a master wider than 64 bits
+]
+
+
+# a study at the usual master seed 61 is named by its sizes alone
+@pytest.mark.parametrize(
+    "n, instances, challenges, width, repeats, sigma, seed", STUDIES,
+    ids=["-".join(map(str, s[:6] if s[6] == 61 else s)) for s in STUDIES])
 def test_quality_study_matches_per_repeat_reference(n, instances, challenges,
-                                                    width, repeats, sigma):
+                                                    width, repeats, sigma, seed):
     args = dict(n=n, instances=instances, challenges=challenges, width=width,
-                repeats=repeats, noise_sigma=sigma, seed=61)
+                repeats=repeats, noise_sigma=sigma, seed=seed)
     assert evaluate_quality(**args) == _reference_quality(**args)
 
 
@@ -220,6 +229,9 @@ def test_quality_study_validation():
     for sigma in (0.0, 0.5):
         with pytest.raises(ValueError, match="width must be >= 1"):
             evaluate_quality(8, 2, 10, width=0, noise_sigma=sigma, seed=1)
+    for sigma in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-neg"):
+            evaluate_quality(8, 2, 20, noise_sigma=sigma, seed=1)
 
 
 def test_seeded_noisy_read_outs_read_no_os_entropy(monkeypatch):
