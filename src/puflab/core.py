@@ -31,11 +31,15 @@ many streams' SeedSequence words in one batched pass, and numpy's own PCG64 is
 built from them (``_rng``), exactly equal to ``default_rng(derive_seed(s, k))``.
 A bank with no noisy chain hashes no stream.
 
-A quality study samples its whole population in one pass,
-``_sample_population``: every bank's chain streams and the study's noise
-streams are hashed together, each chain draws its delays as
-``sample_multibit`` does, and one stacked ``_fold``, the elementwise
-arithmetic of ``to_linear``, gives every bank's weights bit for bit without
+Every delay is drawn on one path, ``_draw_delays``: each stream's
+``normal(mean, sigma, (n, 4))``, stacked and checked against the overflow
+bound of ``_check_delays``.  ``sample_chain`` draws from ``default_rng(seed)``;
+``sample_multibit`` draws chain k from ``default_rng(derive_seed(seed, k))``,
+built by ``_rng`` from one batched hash of its chains' words; a quality study
+draws its whole population in one call, ``_sample_population``, after hashing
+every bank's chain streams with the study's noise streams.  A bank and a study
+both fold their stacked delays with one ``_fold``, the elementwise arithmetic
+of ``to_linear``, so a study's weights are its banks' bit for bit without
 building a chain or a bank.
 """
 
@@ -174,7 +178,8 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
 
 
 def _rng(words):
-    """``default_rng(derive_seed(s, k))``, built from its ``_chain_streams`` words."""
+    """``default_rng(derive_seed(s, k))``, built from the 4 PCG64 seed words
+    that ``_chain_streams`` or ``sample_multibit`` hash for it."""
     return np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
@@ -182,7 +187,8 @@ def _rng(words):
 class ArbiterChain:
     """A single arbiter chain: (n, 4) path delays plus an optional noise level.
 
-    ``delays`` is a read-only (n, 4) array, columns (d_tt, d_bb, d_tb, d_bt).
+    ``delays`` is a read-only (n, 4) array, columns (d_tt, d_bb, d_tb, d_bt),
+    each finite and below float max / (4n + 4) in magnitude (``_check_delays``).
     ``noise_sigma`` is the standard deviation of the Gaussian disturbance on
     the final delay difference; it is only applied when an evaluation is given
     an explicit ``noise_seed``, so the same instance serves as its own
@@ -196,8 +202,7 @@ class ArbiterChain:
         delays = np.array(self.delays, dtype=np.float64)
         if delays.ndim != 2 or delays.shape[1] != 4 or delays.shape[0] < 1:
             raise ValueError("delays must have shape (n, 4) with n >= 1")
-        if not np.all(np.isfinite(delays)):
-            raise ValueError("delays must be finite")
+        _check_delays(delays)
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and non-negative")
         delays.setflags(write=False)
@@ -224,7 +229,8 @@ class ArbiterChain:
         diff = times[1] - times[0]
         if noise_seed is not None and self.noise_sigma > 0.0:
             rng = np.random.default_rng(noise_seed)
-            diff = diff + self.noise_sigma * rng.standard_normal(len(bits))
+            with np.errstate(over="ignore"):   # an overflow to +-inf keeps the sign
+                diff = diff + self.noise_sigma * rng.standard_normal(len(bits))
         return diff
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
@@ -255,7 +261,7 @@ class MultiBitPuf:
             raise ValueError("need at least one chain")
         if any(c.n_stages != self.n_stages for c in self.chains):
             raise ValueError("all chains must have the same number of stages")
-        weights = np.column_stack([to_linear(c).weights for c in self.chains])
+        weights = _fold(np.stack([c.delays for c in self.chains]))
         weights.setflags(write=False)
         object.__setattr__(self, "_weights", weights)
 
@@ -311,7 +317,8 @@ class MultiBitPuf:
             block = bits[start:start + BLOCK_ROWS]
             diff = self.delta_of_features(feature_matrix(block, "parity"))
             if draw:
-                diff += draw(block.shape[0])
+                with np.errstate(over="ignore"):   # +-inf keeps the noise's sign
+                    diff += draw(block.shape[0])
             out[start:start + BLOCK_ROWS] = diff > 0
         return out
 
@@ -336,13 +343,30 @@ class LinearModel:
     weights: np.ndarray
 
 
+def _draw_delays(rngs, n, params):
+    """(streams, n, 4) delays, slice r drawn by the r-th of the ``rngs`` as
+    ``normal(mean, sigma, (n, 4))``: the one delay draw of every chain, bank
+    and population."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _check_delays(np.stack([rng.normal(params.mean, params.sigma, (n, 4))
+                                   for rng in rngs]))
+
+
+def _check_delays(delays):
+    """``delays``, (..., n, 4), if each is finite and below float max / (4n + 4)
+    in magnitude: under that bound no race, fold or product of the n + 1 folded
+    weights with parity features overflows.  NaN fails the comparison too; the
+    bound divides, since 4n + 4 times a delay can overflow."""
+    if not np.abs(delays).max() < np.finfo(float).max / (4 * delays.shape[-2] + 4):
+        raise ValueError("delays must be finite with |d| < float max / (4n + 4)")
+    return delays
+
+
 def sample_chain(n: int, params: DelayParams = DelayParams(), seed=None,
                  noise_sigma: float = 0.0) -> ArbiterChain:
     """Draw a fresh n-stage chain, all 4n path delays i.i.d. normal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    delays = rng.normal(params.mean, params.sigma, size=(n, 4))
+    delays, = _draw_delays([np.random.default_rng(seed)], n, params)
     return ArbiterChain(delays, noise_sigma=noise_sigma)
 
 
@@ -351,14 +375,14 @@ def sample_multibit(n: int, width: int, params: DelayParams = DelayParams(),
     """Draw a multi-bit instance of ``width`` n-stage chains.
 
     Chain k is sampled from the child seed ``derive_seed(seed, k)``, so any
-    single chain can be rebuilt without instantiating the whole bank.
+    single chain can be rebuilt without instantiating the whole bank; all
+    ``width`` child seeds and stream words are hashed in one batched pass.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    chains = [sample_chain(n, params=params, seed=derive_seed(seed, k),
-                           noise_sigma=noise_sigma)
-              for k in range(width)]
-    return MultiBitPuf(chains)
+    seeds = _derive_seeds(seed, np.arange(width)[:, None])
+    delays = _draw_delays(map(_rng, _generate_state(_seed_entropy(seeds), 4)), n, params)
+    return MultiBitPuf([ArbiterChain(d, noise_sigma) for d in delays])
 
 
 def to_linear(chain: ArbiterChain) -> LinearModel:
@@ -390,16 +414,14 @@ def _fold(delays):
 
 def _sample_population(n, width, params, master, instances, noise_seeds):
     """(instances, n+1, width) weights whose slice i is bank i's ``_weights``,
-    bank i being ``sample_multibit(n, width, params, derive_seed(master, 0, i))``;
-    and the ``_chain_streams`` words of the uint64 ``noise_seeds``, hashed in
-    the same pass as the banks' chain streams."""
+    bank i being ``sample_multibit(n, width, params, derive_seed(master, 0, i))``
+    drawn through the same ``_draw_delays`` call as every other bank; and the
+    ``_chain_streams`` words of the uint64 ``noise_seeds``, hashed in the same
+    pass as the banks' chain streams."""
     keys = np.column_stack([np.zeros(instances, int), np.arange(instances)])
     streams = _chain_streams(np.append(_derive_seeds(master, keys), noise_seeds), width)
-    delays = np.empty((instances, width, n, 4))
-    # zip stops after the banks' streams, the first instances * width
-    for chain, words in zip(delays.reshape(-1, n, 4), streams.reshape(-1, 4)):
-        chain[...] = _rng(words).normal(params.mean, params.sigma, (n, 4))
-    return _fold(delays), streams[instances:]
+    delays = _draw_delays(map(_rng, streams[:instances].reshape(-1, 4)), n, params)
+    return _fold(delays.reshape(instances, width, n, 4)), streams[instances:]
 
 
 def all_challenges(n: int) -> np.ndarray:

@@ -15,8 +15,9 @@ do not depend on the noise level, so studies that differ only in it see scaled
 copies of the same disturbances and comparable reliabilities.  The population
 is sampled and folded in one batched pass (``core._sample_population``), which
 holds every chain's delays at once (instances * width * n * 32 bytes, 6.5 MB
-at 50 x 64 x 64) and builds no chain or bank object; its weights equal those
-of ``sample_multibit`` bit for bit.  The shared challenges are encoded once
+at 50 x 64 x 64) and builds no chain or bank object; it draws through the
+same ``core._draw_delays`` as ``sample_multibit``, so its weights equal a
+sampled bank's bit for bit.  The shared challenges are encoded once
 (m * (n+1) * 8 bytes of parity features, 0.5 MB at 1000 x 64) and each
 instance's delay differences once, in the same ``BLOCK_ROWS`` products as a
 bank's read-out and one instance at a time, since a product stacked across
@@ -162,8 +163,9 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         for words in repeat_words:   # a noisy repeat: chain k's disturbance in row k
             for row, chain_words in zip(noise, words):
                 _rng(chain_words).standard_normal(out=row)
-            noise *= noise_sigma
-            noise += diff.T
+            with np.errstate(over="ignore"):   # +-inf keeps the noise's sign
+                noise *= noise_sigma
+                noise += diff.T
             flips += np.count_nonzero((noise > 0) != ref.T)
     return QualityReport(
         n_stages=n,

@@ -9,7 +9,6 @@ import pytest
 
 import puflab.core
 from puflab.cli import main
-from puflab.core import LinearModel, to_linear
 from puflab.crp import load_crps
 
 
@@ -305,6 +304,50 @@ def test_metrics_validation(capsys):
     assert code == 1 and "--noise-sigma" in err
 
 
+STUDY = ["metrics", "--n", "8", "--chains", "2", "--instances", "3",
+         "--challenges", "50"]
+
+
+@pytest.mark.parametrize("argv", [
+    STUDY + ["--delay-sigma", "1e308"],
+    ["generate", "--n", "64", "--chains", "4", "--count", "200",
+     "--delay-sigma", "1e307"],
+    STUDY + ["--delay-mean", "1e308"],
+], ids=["metrics-delay-sigma", "generate-delay-sigma", "metrics-delay-mean"])
+def test_delays_past_the_overflow_bound_are_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "f"
+    code, stdout, err = run(capsys, *argv, "--seed", "1", "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == ("puflab: error: delays must be finite with "
+                   "|d| < float max / (4n + 4)\n")
+    assert not out.exists()
+
+
+def test_extreme_delays_and_noise_run_without_warnings(tmp_path, capsys):
+    """Delays inside the bound at 64 stages, and noise whose products overflow
+    to +-inf, run warning-free: pyproject's filterwarnings fail on any."""
+    for argv in (["generate", "--n", "64", "--chains", "4", "--count", "200",
+                  "--delay-sigma", "1e305"],
+                 ["metrics", "--n", "64", "--chains", "4", "--instances", "3",
+                  "--challenges", "50", "--delay-sigma", "1e305",
+                  "--noise-sigma", "1"],
+                 ["generate", "--n", "16", "--chains", "4", "--count", "200",
+                  "--noise-sigma", "1e308"],
+                 STUDY + ["--noise-sigma", "1e308"]):
+        code, _, err = run(capsys, *argv, "--seed", "1", "-o", str(tmp_path / "x"))
+        assert (code, err) == (0, "")
+
+
+def test_negative_exponent_needs_the_equals_form(tmp_path, capsys):
+    """argparse reads a separate '-1e3' as an option, so it needs '='."""
+    argv = ["generate", "--n", "8", "--count", "5", "-o", str(tmp_path / "x")]
+    code, _, err = run(capsys, *argv, "--delay-mean", "-1e3")
+    assert (code, err) == (1, "puflab: error: argument --delay-mean: "
+                              "expected one argument\n")
+    code, _, _ = run(capsys, *argv, "--delay-mean=-1e3")
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 
@@ -349,9 +392,9 @@ def test_oracle_check_random_count_zero(capsys):
 
 
 def test_oracle_check_corrupt_hook_names_culprits(capsys, monkeypatch):
-    # oracle-check's bank folds each chain through core.to_linear
-    monkeypatch.setattr(puflab.core, "to_linear",
-                        lambda chain: LinearModel(-to_linear(chain).weights))
+    # oracle-check's bank folds its stacked chains through core._fold
+    fold = puflab.core._fold
+    monkeypatch.setattr(puflab.core, "_fold", lambda delays: -fold(delays))
     code, stdout, _ = run(capsys, "oracle-check", "--n", "2", "--chains", "1")
     assert code == 3
     assert "mismatch: n=2 chain_seed=" in stdout

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import puflab.core
-from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, LinearModel,
-                         MultiBitPuf, _chain_streams, _derive_seeds,
-                         _sample_population, _StreamWords, all_challenges,
-                         derive_seed, linear_disagreements, random_challenges,
-                         sample_chain, sample_multibit, to_linear)
+from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, MultiBitPuf,
+                         _chain_streams, _derive_seeds, _sample_population,
+                         _StreamWords, all_challenges, derive_seed,
+                         linear_disagreements, random_challenges, sample_chain,
+                         sample_multibit, to_linear)
 from puflab.features import feature_matrix
 
 
@@ -131,6 +131,26 @@ def test_chain_delay_array_checked_and_frozen():
     chain = ArbiterChain(np.ones((2, 4)))
     with pytest.raises(ValueError):
         chain.delays[0, 0] = 5.0
+
+
+def test_delays_stay_below_the_overflow_bound():
+    """Every delay must be below float max / (4n + 4) in magnitude, the bound
+    under which neither the race nor the folded read-out can overflow."""
+    limit = np.finfo(float).max / (4 * 64 + 4)
+    for bad in (1e307, limit, -limit):
+        with pytest.raises(ValueError, match=r"\|d\| < float max / \(4n \+ 4\)"):
+            ArbiterChain(np.full((64, 4), bad))
+    with pytest.raises(ValueError, match="float max"):
+        sample_multibit(64, 4, params=DelayParams(10.0, 1e307), seed=1)
+    with pytest.raises(ValueError, match="float max"):
+        sample_chain(8, params=DelayParams(1e308, 0.5), seed=1)
+    # just inside the bound the race and the fold run without overflowing
+    signs = np.where(np.random.default_rng(3).random((64, 4)) < 0.5, -1.0, 1.0)
+    chain = ArbiterChain(signs * np.nextafter(limit, 0))
+    chal = random_challenges(300, 64, seed=4)
+    assert np.all(np.isfinite(chain.delta(chal)))
+    assert np.all(np.isfinite(MultiBitPuf([chain]).delta_of_features(
+        feature_matrix(chal, "parity"))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +288,17 @@ def test_linear_disagreements_names_the_corrupted_challenges(monkeypatch):
     chal = all_challenges(6)
     w = to_linear(chain).weights
 
-    def corrupt_fold(corrupt):   # the bank folds each chain through to_linear
-        monkeypatch.setattr(puflab.core, "to_linear",
-                            lambda c: LinearModel(corrupt(to_linear(c).weights)))
+    def corrupt_fold(corrupt):   # the bank folds its stacked chains through _fold
+        monkeypatch.setattr(puflab.core, "_fold", lambda d: corrupt(fold(d)))
 
+    fold = puflab.core._fold
     corrupt_fold(np.negative)
     assert np.array_equal(linear_disagreements(chain, chal), np.arange(64))
     # raising the bias weight by 1 flips exactly the races ending in (-1, 0]
     delta = chain.delta(chal)
     expected = np.flatnonzero((delta > -1.0) & (delta <= 0.0))
     assert 0 < expected.size < 64
-    corrupt_fold(lambda v: v + np.eye(7)[6])
+    corrupt_fold(lambda v: v + np.eye(7)[6][:, None])
     assert np.array_equal(linear_disagreements(chain, chal), expected)
     monkeypatch.undo()
     assert linear_disagreements(chain, chal).size == 0
@@ -304,7 +324,19 @@ def test_stage_local_shifts_cancel():
 # multi-bit bank
 
 
-def test_multibit_width_and_chain_reconstruction():
+def _drawn_delays(seed, k, n, params):
+    """Chain k's delays as written out here, independent of the library's draw:
+    the normals of ``default_rng(derive_seed(seed, k))``."""
+    rng = np.random.default_rng(derive_seed(seed, k))
+    return rng.normal(params.mean, params.sigma, (n, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), width=st.integers(1, 8), master=st.sampled_from(MASTERS),
+       mean=st.floats(-50, 50), sigma=st.floats(0.01, 20))
+def test_multibit_width_and_chain_reconstruction(n, width, master, mean, sigma):
+    """Chain k of a bank is drawn from ``derive_seed(seed, k)`` alone, at any
+    width, master and delay distribution, and the bank folds each chain."""
     puf = sample_multibit(16, 16, seed=500)
     assert puf.width == 16 and puf.n_stages == 16
     narrow = sample_multibit(16, width=4, seed=500)
@@ -312,6 +344,16 @@ def test_multibit_width_and_chain_reconstruction():
     for k in range(4):
         rebuilt = sample_chain(16, seed=derive_seed(500, k))
         assert np.array_equal(narrow.chains[k].delays, rebuilt.delays)
+    params = DelayParams(mean, sigma)
+    bank = sample_multibit(n, width, params=params, seed=master)
+    assert bank.width == width and bank.n_stages == n
+    for k, chain in enumerate(bank.chains):
+        assert np.array_equal(chain.delays, _drawn_delays(master, k, n, params))
+        assert np.array_equal(bank._weights[:, k], to_linear(chain).weights)
+    # without a seed every chain draws fresh entropy of its own
+    fresh = sample_multibit(n, width, params=params).chains
+    assert all(not np.array_equal(a.delays, b.delays)
+               for i, a in enumerate(fresh) for b in fresh[i + 1:])
 
 
 def _assert_chain_read_outs(puf, chal, noise_seed):
@@ -444,9 +486,11 @@ def test_population_weights_are_sampled_banks(n, width, instances, master, mean,
                                           noise_seeds)
     assert weights.shape == (instances, n + 1, width)
     for i, w in enumerate(weights):
-        bank = sample_multibit(n, width, params=params, seed=derive_seed(master, 0, i))
+        seed = derive_seed(master, 0, i)
+        want = [to_linear(ArbiterChain(_drawn_delays(seed, k, n, params))).weights
+                for k in range(width)]
         assert w.flags.c_contiguous
-        assert np.array_equal(w, bank._weights)
+        assert np.array_equal(w, np.column_stack(want))
     assert np.array_equal(streams, _chain_streams(noise_seeds, width))
 
 
@@ -457,6 +501,10 @@ def test_multibit_validation():
         MultiBitPuf([sample_chain(4, seed=1), sample_chain(5, seed=2)])
     with pytest.raises(ValueError):
         sample_multibit(4, width=0, seed=1)
+    with pytest.raises(ValueError):
+        sample_multibit(4, 2, seed=-1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_multibit(0, 2, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +538,17 @@ def test_noise_flips_grow_with_sigma():
     assert 0 < np.sum(flips[0]) < np.sum(flips[1]) < np.sum(flips[2])
     assert not np.any(flips[0] & ~flips[1])
     assert not np.any(flips[1] & ~flips[2])
+
+
+def test_noise_past_float_max_keeps_its_sign():
+    """A disturbance that overflows to +-inf still has the noise's sign, so a
+    chain's and a bank's seeded read-outs run without an overflow warning."""
+    puf = sample_multibit(12, width=3, seed=8, noise_sigma=1e308)
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 12, seed=9)
+    words = _assert_chain_read_outs(puf, chal, noise_seed=123)
+    for k in range(puf.width):   # bit k reads the sign of chain k's normals
+        z = np.random.default_rng(derive_seed(123, k)).standard_normal(len(chal))
+        assert np.array_equal(words[:, k], z > 0)
 
 
 def test_multibit_noise_reproducible():
