@@ -13,7 +13,10 @@ The race is equivalent to a linear threshold function over the parity
 transform of the challenge: ``to_linear`` folds the 4n stage delays into n+1
 weights ``w``, and ``w`` dotted with the parity features of any challenge is
 positive exactly where ``chain.respond(c)`` is 1.  Measurement noise is
-modelled as a single Gaussian disturbance added to the final delay difference.
+modelled as a single Gaussian disturbance added to the final delay difference,
+always by ``_disturb``: a chain's, a bank's and a quality study's noisy
+read-outs fill a buffer with each stream's normals, scale it and add the
+differences there, so a bank's column k is chain k's read-out by construction.
 
 A multi-bit instance is a bank of independent chains sharing one challenge,
 one response bit per chain.  The bank folds its chains once, when built, and
@@ -32,12 +35,14 @@ built from them (``_rng``), exactly equal to ``default_rng(derive_seed(s, k))``.
 A bank with no noisy chain hashes no stream.
 
 Every delay is drawn on one path, ``_draw_delays``: each stream's
-``normal(mean, sigma, (n, 4))``, stacked and checked against the overflow
-bound of ``_check_delays``.  ``sample_chain`` draws from ``default_rng(seed)``;
-``sample_multibit`` draws chain k from ``default_rng(derive_seed(seed, k))``,
-built by ``_rng`` from one batched hash of its chains' words; a quality study
-draws its whole population in one call, ``_sample_population``, after hashing
-every bank's chain streams with the study's noise streams.  A bank and a study
+``normal(mean, sigma, (n, 4))``, written straight into one stacked array.
+Each delay is checked once against the overflow bound of ``_check_delays``,
+by the chain that holds it or, for a study, by ``_sample_population``.
+``sample_chain`` draws from ``default_rng(seed)``; ``sample_multibit`` draws
+chain k from ``default_rng(derive_seed(seed, k))``, built by ``_rng`` from one
+batched hash of its chains' words; a quality study draws its whole population
+in one call, ``_sample_population``, after hashing every bank's chain streams
+with the study's noise streams.  A bank and a study
 both fold their stacked delays with one ``_fold``, the elementwise arithmetic
 of ``to_linear``, so a study's weights are its banks' bit for bit without
 building a chain or a bank.
@@ -228,9 +233,8 @@ class ArbiterChain:
             times = np.where(crossed, times[::-1] + d_swapped, times + d_straight)
         diff = times[1] - times[0]
         if noise_seed is not None and self.noise_sigma > 0.0:
-            rng = np.random.default_rng(noise_seed)
-            with np.errstate(over="ignore"):   # an overflow to +-inf keeps the sign
-                diff = diff + self.noise_sigma * rng.standard_normal(len(bits))
+            diff = _disturb(diff[:, None], [np.random.default_rng(noise_seed)],
+                            self.noise_sigma, np.empty((1, len(bits))))[0]
         return diff
 
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
@@ -273,24 +277,6 @@ class MultiBitPuf:
     def n_stages(self) -> int:
         return self.chains[0].n_stages
 
-    def _noise_draw(self, noise_seed):
-        """``draw(m)``: the next m rows of (m, width) noise, noisy chain k's from
-        its stream ``default_rng(derive_seed(noise_seed, k))``; None, with no
-        stream hashed, for no seed or a bank with no noisy chain."""
-        noise = [(k, c.noise_sigma) for k, c in enumerate(self.chains)
-                 if c.noise_sigma > 0.0]
-        if noise_seed is None or not noise:
-            return None
-        words = _chain_streams([noise_seed], self.width)[0]
-        rngs = [_rng(words[k]) for k, _ in noise]
-
-        def draw(m):
-            out = np.zeros((m, self.width))
-            for (k, sigma), rng in zip(noise, rngs):
-                out[:, k] = sigma * rng.standard_normal(m)
-            return out
-        return draw
-
     def delta_of_features(self, feats) -> np.ndarray:
         """(m, width) noise-free differences of an (m, n+1) parity feature
         matrix, in the same ``BLOCK_ROWS`` products as ``respond``: column k is
@@ -302,28 +288,46 @@ class MultiBitPuf:
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
         """Response words, shape (m, width).
 
-        Under noise every chain draws its own disturbance from a seed derived
-        per chain index, so a word is reproducible from ``noise_seed`` alone
-        and bit k matches ``chains[k].respond(c, derive_seed(noise_seed, k))``.
-        ``noise_seed`` is None or an int in [0, 2**64).
+        Under noise every noisy chain k disturbs its column through
+        ``_disturb`` from its stream ``default_rng(derive_seed(noise_seed, k))``,
+        as the chain does, so a word is reproducible from ``noise_seed`` alone
+        and bit k is ``chains[k].respond(c, derive_seed(noise_seed, k))``.  A
+        bank with no noisy chain hashes no stream.  ``noise_seed`` is None or
+        an int in [0, 2**64).
         """
         bits = _challenge_batch(challenges, self.n_stages)
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
-        draw = self._noise_draw(noise_seed)
+        sigmas = np.array([c.noise_sigma for c in self.chains])
+        noisy, rngs = np.flatnonzero(sigmas), []
+        if noise_seed is not None and noisy.size:
+            rngs = [_rng(w) for w in _chain_streams([noise_seed], self.width)[0, noisy]]
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
             diff = self.delta_of_features(feature_matrix(block, "parity"))
-            if draw:
-                with np.errstate(over="ignore"):   # +-inf keeps the noise's sign
-                    diff += draw(block.shape[0])
+            if rngs:
+                diff[:, noisy] = _disturb(diff[:, noisy], rngs, sigmas[noisy, None],
+                                          np.empty((len(rngs), len(block)))).T
             out[start:start + BLOCK_ROWS] = diff > 0
         return out
 
     def __repr__(self):
         return f"MultiBitPuf(width={self.width}, n_stages={self.n_stages})"
+
+
+def _disturb(diff, rngs, sigma, out):
+    """(k, m) ``out`` with row j set to ``diff[:, j] + sigma_j * z``, z the next
+    m normals of ``rngs[j]``, for (m, k) noise-free differences ``diff`` and a
+    scalar or (k, 1) ``sigma``: the one noise draw of every chain, bank and
+    quality study."""
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    with np.errstate(over="ignore"):   # +-inf past float max keeps the noise's sign
+        out *= sigma
+        out += diff.T
+    return out
 
 
 def _delta(feats, weights):
@@ -344,13 +348,14 @@ class LinearModel:
 
 
 def _draw_delays(rngs, n, params):
-    """(streams, n, 4) delays, slice r drawn by the r-th of the ``rngs`` as
-    ``normal(mean, sigma, (n, 4))``: the one delay draw of every chain, bank
-    and population."""
+    """(len(rngs), n, 4) delays, slice r drawn by ``rngs[r]`` as
+    ``normal(mean, sigma, (n, 4))``, each straight into the result: the one
+    delay draw of every chain, bank and population, unchecked until a chain or
+    ``_sample_population`` checks it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _check_delays(np.stack([rng.normal(params.mean, params.sigma, (n, 4))
-                                   for rng in rngs]))
+    return np.fromiter((rng.normal(params.mean, params.sigma, (n, 4)) for rng in rngs),
+                       np.dtype((float, (n, 4))), len(rngs))
 
 
 def _check_delays(delays):
@@ -358,7 +363,8 @@ def _check_delays(delays):
     in magnitude: under that bound no race, fold or product of the n + 1 folded
     weights with parity features overflows.  NaN fails the comparison too; the
     bound divides, since 4n + 4 times a delay can overflow."""
-    if not np.abs(delays).max() < np.finfo(float).max / (4 * delays.shape[-2] + 4):
+    bound = np.finfo(float).max / (4 * delays.shape[-2] + 4)
+    if not np.maximum(delays.max(), -delays.min()) < bound:
         raise ValueError("delays must be finite with |d| < float max / (4n + 4)")
     return delays
 
@@ -378,10 +384,11 @@ def sample_multibit(n: int, width: int, params: DelayParams = DelayParams(),
     single chain can be rebuilt without instantiating the whole bank; all
     ``width`` child seeds and stream words are hashed in one batched pass.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
+        raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
     seeds = _derive_seeds(seed, np.arange(width)[:, None])
-    delays = _draw_delays(map(_rng, _generate_state(_seed_entropy(seeds), 4)), n, params)
+    delays = _draw_delays(list(map(_rng, _generate_state(_seed_entropy(seeds), 4))),
+                          n, params)
     return MultiBitPuf([ArbiterChain(d, noise_sigma) for d in delays])
 
 
@@ -420,7 +427,8 @@ def _sample_population(n, width, params, master, instances, noise_seeds):
     pass as the banks' chain streams."""
     keys = np.column_stack([np.zeros(instances, int), np.arange(instances)])
     streams = _chain_streams(np.append(_derive_seeds(master, keys), noise_seeds), width)
-    delays = _draw_delays(map(_rng, streams[:instances].reshape(-1, 4)), n, params)
+    rngs = list(map(_rng, streams[:instances].reshape(-1, 4)))
+    delays = _check_delays(_draw_delays(rngs, n, params))
     return _fold(delays.reshape(instances, width, n, 4)), streams[instances:]
 
 

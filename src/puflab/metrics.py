@@ -21,12 +21,13 @@ sampled bank's bit for bit.  The shared challenges are encoded once
 (m * (n+1) * 8 bytes of parity features, 0.5 MB at 1000 x 64) and each
 instance's delay differences once, in the same ``BLOCK_ROWS`` products as a
 bank's read-out and one instance at a time, since a product stacked across
-instances rounds differently.  Each noisy repeat draws its width streams into
-one reused (width, m) buffer, adds the differences and is scored before the
-next, so memory does not grow with repeats.  A noise-free study runs no
-repeats.  The SeedSequence words of every chain and noise stream, 32 bytes a
-stream, are hashed in batched passes up front, and numpy's own PCG64 is built
-from them, exactly equal to ``default_rng(derive_seed(s, k))``.
+instances rounds differently.  Each noisy repeat disturbs the differences
+through ``core._disturb``, the noise draw of a chain's and a bank's read-out,
+into one reused (width, m) buffer and is scored before the next, so memory
+does not grow with repeats.  A noise-free study runs no repeats.  The
+SeedSequence words of every chain and noise stream, 32 bytes a stream, are
+hashed in batched passes up front, and numpy's own PCG64 is built from them,
+exactly equal to ``default_rng(derive_seed(s, k))``.
 Without a seed the study draws one fresh master seed, derives everything from
 it and reports it as its seed, so the study can be rerun.
 """
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import _bit_array
-from .core import (DelayParams, _delta, _derive_seeds, _rng, _sample_population,
-                   derive_seed, random_challenges)
+from .core import (DelayParams, _delta, _derive_seeds, _disturb, _rng,
+                   _sample_population, derive_seed, random_challenges)
 # perfbench's tracer wraps metrics.sample_multibit until ROADMAP item 1 retargets it
 from .core import sample_multibit  # noqa: F401
 from .features import feature_matrix
@@ -139,8 +140,8 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("need at least two instances")
     if challenges < 1 or repeats < 1:
         raise ValueError("challenges and repeats must be >= 1")
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
+        raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError("noise_sigma must be finite and non-negative")
     if noise_sigma > 0 and repeats < 2:
@@ -160,13 +161,9 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
     for i, repeat_words in enumerate(streams.reshape(instances, -1, width, 4)):
         diff = _delta(feats, weights[i])   # per instance: stacked products move bits
         ref = stack[i] = diff > 0
-        for words in repeat_words:   # a noisy repeat: chain k's disturbance in row k
-            for row, chain_words in zip(noise, words):
-                _rng(chain_words).standard_normal(out=row)
-            with np.errstate(over="ignore"):   # +-inf keeps the noise's sign
-                noise *= noise_sigma
-                noise += diff.T
-            flips += np.count_nonzero((noise > 0) != ref.T)
+        for words in repeat_words:   # a noisy repeat: chain k's read-out in row k
+            noisy = _disturb(diff, map(_rng, words), noise_sigma, noise)
+            flips += np.count_nonzero((noisy > 0) != ref.T)
     return QualityReport(
         n_stages=n,
         width=width,

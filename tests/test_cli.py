@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, config handling, exit codes."""
 
+import random
 import re
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import puflab.core
-from puflab.cli import main
+from puflab.cli import COMMANDS, main
 from puflab.crp import load_crps
 
 
@@ -323,6 +324,20 @@ def test_delays_past_the_overflow_bound_are_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "5"],
+    ["sweep", "--counts", "5"],
+    ["metrics", "--instances", "2", "--challenges", "5"],
+], ids=lambda argv: argv[0])
+def test_bank_wider_than_an_array_index_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "f"
+    code, stdout, err = run(capsys, *argv, "--n", "4", "--chains", str(2 ** 63),
+                            "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"puflab: error: width must be >= 1 and <= {2 ** 63 - 1}\n"
+    assert not out.exists()
+
+
 def test_extreme_delays_and_noise_run_without_warnings(tmp_path, capsys):
     """Delays inside the bound at 64 stages, and noise whose products overflow
     to +-inf, run warning-free: pyproject's filterwarnings fail on any."""
@@ -346,6 +361,51 @@ def test_negative_exponent_needs_the_equals_form(tmp_path, capsys):
                               "expected one argument\n")
     code, _, _ = run(capsys, *argv, "--delay-mean=-1e3")
     assert code == 0
+
+
+FUZZ_FREE = ("0", "-1", "1e308", "inf", "nan", "", str(2 ** 63), str(2 ** 64), "-1e3")
+FUZZ_SIZE = ("0", "-1", "1", "2", "3", "", "nan", str(2 ** 63), str(2 ** 64))
+FUZZ_LOOP = FUZZ_SIZE[:-2]   # a loop count is work, so only small values
+FUZZ_SIZES = {"n", "chains", "count", "counts", "instances", "challenges", "repeats"}
+FUZZ_BASE = {   # a valid tiny run of each command, which the fuzz then overrides
+    "generate": ["--n", "3", "--count", "3", "-o", "out"],
+    "attack": ["data", "--epochs", "2"],
+    "sweep": ["--n", "3", "--counts", "8", "--fractions", "0.5", "--epochs", "2"],
+    "metrics": ["--n", "3", "--instances", "2", "--challenges", "3", "--repeats", "2"],
+    "oracle-check": ["--n", "2", "--chains", "1", "--random-count", "2"],
+}
+
+
+def _fuzz_values(command, opt):
+    if opt.name in ("epochs", "random-count") or (command, opt.name) == (
+            "oracle-check", "chains"):
+        return FUZZ_LOOP
+    return FUZZ_SIZE if opt.name in FUZZ_SIZES else FUZZ_FREE
+
+
+def test_seeded_cli_fuzz(tmp_path, capsys, monkeypatch):
+    """Tiny runs of every command end in exit 0 or 1, never an exception or a
+    warning: first with each option set to each boundary value alone, then
+    with two or three options set at random, 500 runs in all."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "3", "--count", "20", "--seed", "1",
+                 "-o", "data"]) == 0
+    ops = [(command, [(opt, value)]) for command, (opts, *_) in COMMANDS.items()
+           for opt in opts for value in _fuzz_values(command, opt)]
+    rnd = random.Random(27)
+    while len(ops) < 500:
+        command = rnd.choice(sorted(COMMANDS))
+        opts = rnd.sample(COMMANDS[command][0], rnd.randint(2, 3))
+        ops.append((command, [(o, rnd.choice(_fuzz_values(command, o))) for o in opts]))
+    for command, settings in ops:
+        argv = [command, *FUZZ_BASE[command],
+                *(f"--{opt.name}={value}" for opt, value in settings)]
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1), argv
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

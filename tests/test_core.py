@@ -1,6 +1,7 @@
 """Race simulation, linear reduction, seeding and challenge enumeration."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 import puflab.core
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, MultiBitPuf,
-                         _chain_streams, _derive_seeds, _sample_population,
-                         _StreamWords, all_challenges, derive_seed,
-                         linear_disagreements, random_challenges, sample_chain,
-                         sample_multibit, to_linear)
+                         _chain_streams, _derive_seeds, _draw_delays,
+                         _sample_population, _StreamWords, all_challenges,
+                         derive_seed, linear_disagreements, random_challenges,
+                         sample_chain, sample_multibit, to_linear)
 from puflab.features import feature_matrix
 
 
@@ -151,6 +152,32 @@ def test_delays_stay_below_the_overflow_bound():
     assert np.all(np.isfinite(chain.delta(chal)))
     assert np.all(np.isfinite(MultiBitPuf([chain]).delta_of_features(
         feature_matrix(chal, "parity"))))
+
+
+def test_bank_checks_each_delay_once(monkeypatch):
+    """A sampled bank's delays are checked by its chains alone, not again as a
+    stack."""
+    calls = []
+    check = puflab.core._check_delays
+    monkeypatch.setattr(puflab.core, "_check_delays",
+                        lambda d: calls.append(d.shape) or check(d))
+    sample_multibit(8, 4, seed=1)
+    assert calls == [(8, 4)] * 4
+
+
+def test_delay_draw_peaks_near_its_result():
+    """Every stream draws straight into the stacked result, so the draw holds
+    no second full-size copy of the delays."""
+    rngs = [np.random.default_rng(derive_seed(5, k)) for k in range(256)]
+    tracemalloc.start()
+    try:
+        delays = _draw_delays(rngs, 64, DelayParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delays.shape == (256, 64, 4)
+    assert np.array_equal(delays[3], _drawn_delays(5, 3, 64, DelayParams()))
+    assert peak < 1.1 * delays.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +526,9 @@ def test_multibit_validation():
         MultiBitPuf([])
     with pytest.raises(ValueError):
         MultiBitPuf([sample_chain(4, seed=1), sample_chain(5, seed=2)])
-    with pytest.raises(ValueError):
-        sample_multibit(4, width=0, seed=1)
+    for width in (0, 2 ** 63, 2 ** 64):   # np.arange(2**63) would be empty
+        with pytest.raises(ValueError, match=f"width must be >= 1 and <= {2 ** 63 - 1}"):
+            sample_multibit(4, width=width, seed=1)
     with pytest.raises(ValueError):
         sample_multibit(4, 2, seed=-1)
     with pytest.raises(ValueError, match="n must be >= 1"):

@@ -1,5 +1,6 @@
 """Population quality figures."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puflab.core
 import puflab.metrics
 from puflab.core import (BLOCK_ROWS, derive_seed, random_challenges,
                          sample_chain, sample_multibit)
@@ -205,6 +207,30 @@ def test_quality_study_matches_per_repeat_reference(n, instances, challenges,
     assert evaluate_quality(**args) == _reference_quality(**args)
 
 
+def test_chain_bank_and_study_disturb_through_one_helper(monkeypatch):
+    """A chain's, a bank's and a study's noisy read-outs all add their noise
+    through ``core._disturb``: shifting its result moves all three."""
+    puf = sample_multibit(16, 3, seed=4, noise_sigma=0.5)
+    chal = random_challenges(2 * BLOCK_ROWS + 1, 16, seed=5)
+    study = dict(n=16, instances=3, challenges=100, width=2, repeats=2,
+                 noise_sigma=0.5, seed=8)
+
+    def read_outs():
+        return (puf.chains[0].respond(chal, noise_seed=6).tolist(),
+                puf.respond(chal, noise_seed=6).tolist(), evaluate_quality(**study))
+    before = read_outs()
+    disturb = puflab.core._disturb
+    assert puflab.metrics._disturb is disturb
+
+    def shifted(*args):
+        return disturb(*args) + 1e9
+    monkeypatch.setattr(puflab.core, "_disturb", shifted)
+    monkeypatch.setattr(puflab.metrics, "_disturb", shifted)
+    after = read_outs()
+    assert all(a != b for a, b in zip(before, after))
+    assert after[1] == [[1, 1, 1]] * len(chal)
+
+
 def test_quality_study_memory_does_not_grow_with_repeats():
     def peak(repeats):
         tracemalloc.start()
@@ -229,9 +255,9 @@ def test_quality_study_validation():
         evaluate_quality(8, 2, 20, repeats=0, seed=1)
     with pytest.raises(ValueError, match="two repeats"):
         evaluate_quality(8, 2, 20, repeats=1, noise_sigma=0.5, seed=1)
-    for sigma in (0.0, 0.5):
-        with pytest.raises(ValueError, match="width must be >= 1"):
-            evaluate_quality(8, 2, 10, width=0, noise_sigma=sigma, seed=1)
+    for sigma, width in itertools.product((0.0, 0.5), (0, 2 ** 63, 2 ** 64)):
+        with pytest.raises(ValueError, match=f"width must be >= 1 and <= {2 ** 63 - 1}"):
+            evaluate_quality(8, 2, 10, width=width, noise_sigma=sigma, seed=1)
     for sigma in (np.nan, np.inf, -0.5):
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-neg"):
             evaluate_quality(8, 2, 20, noise_sigma=sigma, seed=1)
