@@ -15,8 +15,9 @@ hangs off the one ``--seed``, so a run with the same inputs produces
 byte-identical outputs, and CSV artifacts start with comment lines echoing the
 options that made them.
 
-Exit codes: 0 success, 1 usage or parameter error, 2 unreadable or malformed
-data, 3 oracle disagreement.
+Exit codes: 0 success, 1 usage or parameter error or a size too large for
+memory, 2 unreadable or malformed data or an unwritable ``-o`` path, 3 oracle
+disagreement.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .attack import (DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_TOL, AttackReport,
 from .bits import HexFormatError, format_hex_word
 from .core import (DelayParams, all_challenges, derive_seed,
                    linear_disagreements, random_challenges, sample_chain)
-from .crp import DatasetError, generate_crps, load_crps, save_crps
+from .crp import DatasetError, _write_text, generate_crps, load_crps, save_crps
 from .features import FEATURE_MAPS
 from .metrics import evaluate_quality
 
@@ -162,12 +163,6 @@ def _echo_lines(ns, opts, extra=()):
     """Comment lines restating the options a run used, for self-describing files."""
     pairs = [*extra, *((o.dest, getattr(ns, o.dest)) for o in opts if o.name != "out")]
     return [f"# {key}={_text(value)}" for key, value in pairs]
-
-
-def _write_text(path, lines):
-    data = ("\n".join(lines) + "\n").encode("ascii")  # fails before the file opens
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +426,9 @@ def main(argv=None) -> int:
     except (DatasetError, HexFormatError, OSError) as exc:
         print(f"puflab: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"puflab: error: {exc}", file=sys.stderr)
+    # numpy's MemoryError names the size it could not allocate; Python's has no message
+    except (ValueError, MemoryError) as exc:
+        print(f"puflab: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -23,10 +23,10 @@ one response bit per chain.  The bank folds its chains once, when built, and
 responds through the folded weights, the only linear evaluator here;
 ``ArbiterChain.delta`` keeps the race as the reference oracle for the fold,
 and ``linear_disagreements`` checks a chain's race against its one-chain
-bank.  ``MultiBitPuf.respond(c, s)`` is the read-out;
-``MultiBitPuf.delta_of_features`` gives the noise-free differences of parity
-features, ``delta_of_features(feature_matrix(c)) > 0`` being ``respond(c)``,
-so one challenge set is encoded once for many banks.
+bank.  ``MultiBitPuf.respond(c, s)`` is the read-out.  ``_delta`` is the one
+product of parity features and folded weights, in ``BLOCK_ROWS`` row blocks:
+a bank's read-out and a quality study both take their noise-free differences
+from it, so a study's bits are its banks' bit for bit.
 
 Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
 for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` hashes
@@ -277,14 +277,6 @@ class MultiBitPuf:
     def n_stages(self) -> int:
         return self.chains[0].n_stages
 
-    def delta_of_features(self, feats) -> np.ndarray:
-        """(m, width) noise-free differences of an (m, n+1) parity feature
-        matrix, in the same ``BLOCK_ROWS`` products as ``respond``: column k is
-        ``chains[k].delta(c)`` up to rounding, and ``> 0`` is ``respond(c)``."""
-        if np.ndim(feats) != 2 or np.shape(feats)[1] != self.n_stages + 1:
-            raise ValueError(f"features must have shape (m, {self.n_stages + 1})")
-        return _delta(feats, self._weights)
-
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
         """Response words, shape (m, width).
 
@@ -306,7 +298,7 @@ class MultiBitPuf:
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
-            diff = self.delta_of_features(feature_matrix(block, "parity"))
+            diff = _delta(feature_matrix(block, "parity"), self._weights)
             if rngs:
                 diff[:, noisy] = _disturb(diff[:, noisy], rngs, sigmas[noisy, None],
                                           np.empty((len(rngs), len(block)))).T
@@ -332,7 +324,8 @@ def _disturb(diff, rngs, sigma, out):
 
 def _delta(feats, weights):
     """(m, width) ``feats @ weights``, one product per ``BLOCK_ROWS`` rows: the
-    noise-free differences of a bank with (n+1, width) ``weights``."""
+    noise-free differences of a bank with (n+1, width) ``weights``, for its
+    read-out and a quality study alike."""
     out = np.empty((len(feats), weights.shape[1]))
     for start in range(0, len(feats), BLOCK_ROWS):
         out[start:start + BLOCK_ROWS] = feats[start:start + BLOCK_ROWS] @ weights

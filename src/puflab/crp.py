@@ -163,8 +163,15 @@ def save_crps(path, crps: CrpSet):
     lines.append(COLUMNS)
     for chal, resp in zip(crps.challenges, crps.responses):
         lines.append(f"{format_hex_word(chal)},{format_hex_word(resp)}")
-    with open(os.fspath(path), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines)
+
+
+def _write_text(path, lines):
+    """Write ``lines`` as ASCII, each ended by "\\n": the one artifact writer of
+    ``save_crps`` and the CLI reports."""
+    data = ("\n".join(lines) + "\n").encode("ascii")  # fails before the file opens
+    with open(os.fspath(path), "wb") as fh:
+        fh.write(data)
 
 
 def load_crps(path) -> CrpSet:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import puflab.cli
 import puflab.core
 from puflab.cli import COMMANDS, main
 from puflab.crp import load_crps
@@ -336,6 +337,45 @@ def test_bank_wider_than_an_array_index_is_rejected(tmp_path, capsys, argv):
     assert (code, stdout) == (1, "")
     assert err == f"puflab: error: width must be >= 1 and <= {2 ** 63 - 1}\n"
     assert not out.exists()
+
+
+NUMPY_OOM = ("Unable to allocate 3.64 TiB for an array with shape (1000000000000, 4) "
+             "and data type uint8")
+
+
+@pytest.mark.parametrize("exc,reason", [(MemoryError(NUMPY_OOM), NUMPY_OOM),
+                                        (MemoryError(), "out of memory")],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("target,argv", [
+    ("generate_crps", ["generate", "--n", "4", "--count", "1000000000000", "-o", "f"]),
+    ("generate_crps", ["sweep", "--n", "4", "--counts", "1000000000000"]),
+    ("evaluate_quality", ["metrics", "--n", "4", "--chains", "1000000000000",
+                          "--instances", "2", "--challenges", "5"]),
+], ids=["generate", "sweep", "metrics"])
+def test_size_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                     target, argv, exc, reason):
+    """A size that fits an array index but not in memory exits 1 with one error
+    line, not a traceback.  The failed allocation is faked: under overcommit a
+    real one of terabytes can succeed and get the process killed later."""
+    def allocate(*args, **kwargs):
+        raise exc
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(puflab.cli, target, allocate)
+    assert run(capsys, *argv) == (1, "", f"puflab: error: {reason}\n")
+    assert not (tmp_path / "f").exists()
+
+
+def test_unwritable_out_path_is_a_data_error(tmp_path, capsys):
+    """An -o path that is a directory, or whose parent is missing, exits 2;
+    a report command has printed its report by then, generate nothing."""
+    for out in (tmp_path, tmp_path / "missing" / "f"):
+        code, stdout, err = run(capsys, "generate", "--n", "8", "--count", "5",
+                                "--seed", "1", "-o", str(out))
+        assert (code, stdout) == (2, "") and err.startswith("puflab: data error: ")
+        code, stdout, err = run(capsys, *STUDY, "--seed", "1", "-o", str(out))
+        assert code == 2 and err.startswith("puflab: data error: ")
+        assert stdout.splitlines()[0] == "instances    3"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extreme_delays_and_noise_run_without_warnings(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import puflab.core
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, MultiBitPuf,
-                         _chain_streams, _derive_seeds, _draw_delays,
+                         _chain_streams, _delta, _derive_seeds, _draw_delays,
                          _sample_population, _StreamWords, all_challenges,
                          derive_seed, linear_disagreements, random_challenges,
                          sample_chain, sample_multibit, to_linear)
@@ -38,6 +38,7 @@ KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
     min_size=1, max_size=6))
 
 
+@pytest.mark.seeded
 @settings(max_examples=60, deadline=None)
 @given(master=st.sampled_from(MASTERS), keys=KEY_ROWS)
 def test_batched_stream_seeds_equal_seed_sequence(master, keys):
@@ -59,6 +60,7 @@ def test_batched_stream_seeds_equal_seed_sequence(master, keys):
                                   want.standard_normal(1000))
 
 
+@pytest.mark.seeded
 def test_stream_words_seed_only_pcg64():
     words = _chain_streams([7], 2)[0, 1]
     wrapped = _StreamWords(np.repeat(words, 2)[::2])   # a strided view
@@ -150,8 +152,8 @@ def test_delays_stay_below_the_overflow_bound():
     chain = ArbiterChain(signs * np.nextafter(limit, 0))
     chal = random_challenges(300, 64, seed=4)
     assert np.all(np.isfinite(chain.delta(chal)))
-    assert np.all(np.isfinite(MultiBitPuf([chain]).delta_of_features(
-        feature_matrix(chal, "parity"))))
+    assert np.all(np.isfinite(_delta(feature_matrix(chal, "parity"),
+                                     MultiBitPuf([chain])._weights)))
 
 
 def test_bank_checks_each_delay_once(monkeypatch):
@@ -358,6 +360,7 @@ def _drawn_delays(seed, k, n, params):
     return rng.normal(params.mean, params.sigma, (n, 4))
 
 
+@pytest.mark.seeded
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 24), width=st.integers(1, 8), master=st.sampled_from(MASTERS),
        mean=st.floats(-50, 50), sigma=st.floats(0.01, 20))
@@ -393,6 +396,7 @@ def _assert_chain_read_outs(puf, chal, noise_seed):
     return words
 
 
+@pytest.mark.seeded
 def test_multibit_word_is_per_chain_bits():
     """The bank's folded weights answer like each chain's race, bit for bit,
     over several evaluation blocks and with per-chain noise streams."""
@@ -412,13 +416,14 @@ def _mixed_bank():
                        for k, s in enumerate((0.4, 0.0, 1.5, 0.0, 0.2)))
 
 
+@pytest.mark.seeded
 def test_mixed_bank_columns_are_chain_read_outs():
     """Quiet chains beside noisy ones, over three blocks."""
     puf = _mixed_bank()
     chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=42)
     for noise_seed in (None, 7, 123456789):
         _assert_chain_read_outs(puf, chal, noise_seed)
-    diff = puf.delta_of_features(feature_matrix(chal))
+    diff = _delta(feature_matrix(chal), puf._weights)
     assert np.array_equal(diff > 0, puf.respond(chal))
 
 
@@ -434,28 +439,27 @@ def test_multibit_noise_seed_range():
         _assert_chain_read_outs(puf, chal, noise_seed)
 
 
-def test_multibit_delta_of_features_is_delta_bit_for_bit():
-    """Features encoded once give the same products as per-block encoding."""
+def test_whole_matrix_delta_is_block_products_and_bank_read_out():
+    """``_delta`` of features encoded once gives the same products as
+    per-block encoding, and its signs are the bank's read-out: what makes a
+    quality study's bits its banks'."""
     m = 2 * BLOCK_ROWS + 37
     puf = _mixed_bank()
     chal = random_challenges(m, 8, seed=45)
-    got = puf.delta_of_features(feature_matrix(chal, "parity"))
+    got = _delta(feature_matrix(chal, "parity"), puf._weights)
     assert got.shape == (m, 5)
     weights = np.column_stack([to_linear(c).weights for c in puf.chains])
     per_block = np.vstack([feature_matrix(chal[s:s + BLOCK_ROWS]) @ weights
                            for s in range(0, m, BLOCK_ROWS)])
     assert np.array_equal(got, per_block)
     assert np.array_equal(got > 0, puf.respond(chal))
-    for bad in (np.ones((3, 8)), np.ones(9), np.ones((3, 10))):
-        with pytest.raises(ValueError, match="features must have shape"):
-            puf.delta_of_features(bad)
 
 
 def test_multibit_delta_matches_chain_races():
     puf = sample_multibit(24, width=6, seed=43)
     chal = random_challenges(2 * BLOCK_ROWS + 37, 24, seed=44)
     race = np.column_stack([c.delta(chal) for c in puf.chains])
-    assert np.allclose(puf.delta_of_features(feature_matrix(chal)), race,
+    assert np.allclose(_delta(feature_matrix(chal), puf._weights), race,
                        rtol=0.0, atol=1e-9)
 
 
@@ -498,6 +502,7 @@ def test_quiet_bank_ignores_its_noise_seed(monkeypatch):
         assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), clean)
 
 
+@pytest.mark.seeded
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 24), width=st.integers(1, 8), instances=st.integers(1, 4),
        master=st.sampled_from(MASTERS), mean=st.floats(-50, 50),

@@ -16,6 +16,8 @@ import pytest
 
 from puflab.cli import main
 
+pytestmark = pytest.mark.seeded
+
 GENERATE = ["generate", "--n", "64", "--chains", "8", "--count", "1500",
             "--seed", "2024"]
 

@@ -197,6 +197,7 @@ STUDIES = [  # n, instances, challenges, width, repeats, sigma, master seed
 
 
 # a study at the usual master seed 61 is named by its sizes alone
+@pytest.mark.seeded
 @pytest.mark.parametrize(
     "n, instances, challenges, width, repeats, sigma, seed", STUDIES,
     ids=["-".join(map(str, s[:6] if s[6] == 61 else s)) for s in STUDIES])
@@ -207,6 +208,7 @@ def test_quality_study_matches_per_repeat_reference(n, instances, challenges,
     assert evaluate_quality(**args) == _reference_quality(**args)
 
 
+@pytest.mark.seeded
 def test_chain_bank_and_study_disturb_through_one_helper(monkeypatch):
     """A chain's, a bank's and a study's noisy read-outs all add their noise
     through ``core._disturb``: shifting its result moves all three."""
