@@ -57,9 +57,9 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
     value = int(digits, 16)
     if value >> width:
         raise HexFormatError(f"value {digits} does not fit in {width} bits")
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
-    return np.unpackbits(raw)[-width:].copy()
+    # the pad bits go below the value, where unpackbits' count= drops them
+    raw = (value << (-width % 8)).to_bytes((width + 7) // 8, "big")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=width)
 
 
 def _bit_array(values, what: str) -> np.ndarray:
@@ -77,9 +77,7 @@ def format_hex_word(bits) -> str:
     arr = _bit_array(bits, "bit values")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-D bit sequence")
-    width = arr.size
-    pad = (-width) % 8
-    padded = np.concatenate([np.zeros(pad, dtype=np.uint8), arr])
-    value = int.from_bytes(np.packbits(padded).tobytes(), "big")
-    return f"{value:0{(width + 3) // 4}X}"
+    # packbits zero-fills the last byte's low bits; shift them off the value
+    value = int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
+    return f"{value:0{(arr.size + 3) // 4}X}"
 

@@ -17,13 +17,15 @@ options that made them.
 
 Exit codes: 0 success, 1 usage or parameter error or a size too large for
 memory, 2 unreadable or malformed data or an unwritable ``-o`` path, 3 oracle
-disagreement.
+disagreement.  An ``-o`` path that is a directory, or whose parent directory
+is missing, exits 2 before the command computes or prints anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -422,6 +424,11 @@ def main(argv=None) -> int:
                 merged.dataset = _path(args.dataset)
             except ValueError as exc:
                 raise UsageError(f"bad value for dataset: {exc}") from None
+        out = getattr(merged, "out", None) or ""
+        # an -o directory or missing parent fails before the work; "rb" raises
+        # the OSError that writing would, and creates or truncates nothing
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+            open(out, "rb").close()
         return args._func(merged)
     except (DatasetError, HexFormatError, OSError) as exc:
         print(f"puflab: data error: {exc}", file=sys.stderr)

@@ -161,8 +161,8 @@ def save_crps(path, crps: CrpSet):
     for key in sorted(crps.meta):
         lines.append(f"# meta {key}={crps.meta[key]}")
     lines.append(COLUMNS)
-    for chal, resp in zip(crps.challenges, crps.responses):
-        lines.append(f"{format_hex_word(chal)},{format_hex_word(resp)}")
+    lines += [f"{format_hex_word(chal)},{format_hex_word(resp)}"
+              for chal, resp in zip(crps.challenges, crps.responses)]
     _write_text(path, lines)
 
 

@@ -99,14 +99,16 @@ def test_format_input_validation():
 
 def test_randomized_roundtrip():
     rng = np.random.default_rng(90210)
-    for _ in range(1000):
-        width = int(rng.integers(1, 81))
-        bits = rng.integers(0, 2, size=width, dtype=np.uint8)
-        text = format_hex_word(bits)
-        assert len(text) == (width + 3) // 4
-        assert text == text.upper()
-        assert np.array_equal(parse_hex_word(text, width), bits)
-        # a lowercase, prefixed rendering parses to the same bits
-        assert np.array_equal(parse_hex_word(f"{width}h{text.lower()}", width),
-                              bits)
-
+    for width in range(1, 129):  # every residue mod 8, with and without a pad
+        for _ in range(8):
+            bits = rng.integers(0, 2, size=width, dtype=np.uint8)
+            text = format_hex_word(bits)
+            # an independent reference: the bits as one binary integer
+            assert text == f"{int(''.join(map(str, bits)), 2):0{(width + 3) // 4}X}"
+            parsed = parse_hex_word(text, width)
+            assert (parsed.dtype, parsed.shape) == (np.uint8, (width,))
+            assert parsed.flags.owndata and parsed.flags.writeable
+            assert np.array_equal(parsed, bits)
+            # a lowercase, prefixed rendering parses to the same bits
+            assert np.array_equal(parse_hex_word(f"{width}h{text.lower()}", width),
+                                  bits)

@@ -365,16 +365,23 @@ def test_size_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypat
     assert not (tmp_path / "f").exists()
 
 
-def test_unwritable_out_path_is_a_data_error(tmp_path, capsys):
-    """An -o path that is a directory, or whose parent is missing, exits 2;
-    a report command has printed its report by then, generate nothing."""
-    for out in (tmp_path, tmp_path / "missing" / "f"):
-        code, stdout, err = run(capsys, "generate", "--n", "8", "--count", "5",
-                                "--seed", "1", "-o", str(out))
-        assert (code, stdout) == (2, "") and err.startswith("puflab: data error: ")
-        code, stdout, err = run(capsys, *STUDY, "--seed", "1", "-o", str(out))
-        assert code == 2 and err.startswith("puflab: data error: ")
-        assert stdout.splitlines()[0] == "instances    3"
+def test_unwritable_out_path_is_a_data_error(tmp_path, capsys, monkeypatch):
+    """An -o path that is a directory, or whose parent is missing, exits 2
+    with open's own message before any command computes or prints anything."""
+    def never(*args, **kwargs):
+        raise AssertionError("the command started its work")
+    for name in ("generate_crps", "load_crps", "evaluate_quality"):
+        monkeypatch.setattr(puflab.cli, name, never)
+    commands = (["generate", "--n", "8", "--count", "5"],
+                ["attack", str(tmp_path / "d.csv")],
+                ["sweep", "--n", "8", "--counts", "20"],
+                STUDY)
+    for out, why in ((tmp_path, "[Errno 21] Is a directory"),
+                     (tmp_path / "missing" / "f", "[Errno 2] No such file or directory")):
+        for argv in commands:
+            code, stdout, err = run(capsys, *argv, "--seed", "1", "-o", str(out))
+            assert (code, stdout, err) == (2, "", f"puflab: data error: {why}: "
+                                                  f"{str(out)!r}\n")
     assert list(tmp_path.iterdir()) == []
 
 
