@@ -177,7 +177,8 @@ class AttackReport:
     """Outcome of one train/test attack run.
 
     Per bit, ``epochs_run`` counts its updates (``epochs`` at the cap, fewer
-    when it stalled) and ``final_loss`` is its train loss at the end.
+    when it stalled) and ``final_loss`` is its train loss at the end.  The
+    split seed is not kept: the caller passed it.
     """
 
     crp_count: int
@@ -186,7 +187,6 @@ class AttackReport:
     per_bit_rate: tuple
     mean_rate: float
     word_exact_rate: float
-    seed: object = None
     epochs_run: tuple = ()
     final_loss: tuple = ()
 
@@ -225,7 +225,6 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
         per_bit_rate=tuple(float(r) for r in per_bit),
         mean_rate=float(per_bit.mean()),
         word_exact_rate=float(word_exact),
-        seed=seed,
         epochs_run=tuple(int(u) for u in updates),
         final_loss=tuple(float(v) for v in history[-1]),
     )

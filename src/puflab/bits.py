@@ -19,11 +19,7 @@ _NOT_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
 class HexFormatError(ValueError):
-    """Malformed hex word.  ``offset`` points at the offending character."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset
+    """Malformed hex word.  A bad character's message names its offset."""
 
 
 def parse_hex_word(text: str, width: int) -> np.ndarray:
@@ -39,15 +35,15 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
     token = text.strip()
     m = _PREFIX.match(token)
     if m and m[1].lstrip("0") != str(width):
-        raise HexFormatError(f"prefix width {m[1]} is not {width} in {text!r}", offset=0)
+        raise HexFormatError(f"prefix width {m[1]} is not {width} in {text!r}")
     start = m.end() if m else 0
     digits = token[start:]
     if not digits:
-        raise HexFormatError(f"no hex digits in {text!r}", offset=start)
+        raise HexFormatError(f"no hex digits in {text!r}")
     bad = _NOT_HEX.search(token, start)
     if bad:
         raise HexFormatError(f"invalid hex character {bad[0]!r} at offset "
-                             f"{bad.start()} in {text!r}", offset=bad.start())
+                             f"{bad.start()} in {text!r}")
     max_digits = (width + 3) // 4
     if len(digits) > max_digits:
         raise HexFormatError(

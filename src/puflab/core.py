@@ -17,6 +17,8 @@ modelled as a single Gaussian disturbance added to the final delay difference,
 always by ``_disturb``: a chain's, a bank's and a quality study's noisy
 read-outs fill a buffer with each stream's normals, scale it and add the
 differences there, so a bank's column k is chain k's read-out by construction.
+A noisy bank read-out disturbs every column, a quiet chain's by 0 * z, which
+moves no bit.
 
 A multi-bit instance is a bank of independent chains sharing one challenge,
 one response bit per chain.  The bank folds its chains once, when built, and
@@ -280,28 +282,28 @@ class MultiBitPuf:
     def respond(self, challenges, noise_seed=None) -> np.ndarray:
         """Response words, shape (m, width).
 
-        Under noise every noisy chain k disturbs its column through
-        ``_disturb`` from its stream ``default_rng(derive_seed(noise_seed, k))``,
-        as the chain does, so a word is reproducible from ``noise_seed`` alone
-        and bit k is ``chains[k].respond(c, derive_seed(noise_seed, k))``.  A
-        bank with no noisy chain hashes no stream.  ``noise_seed`` is None or
-        an int in [0, 2**64).
+        Under noise every column k is disturbed from its stream
+        ``default_rng(derive_seed(noise_seed, k))``, one ``_disturb`` call per
+        ``BLOCK_ROWS`` block for the whole word, a quiet chain's column by
+        0 * z, which moves no bit.  So a word is reproducible from
+        ``noise_seed`` alone and bit k is
+        ``chains[k].respond(c, derive_seed(noise_seed, k))``.  A bank with no
+        noisy chain hashes no stream.  ``noise_seed`` is None or an int in
+        [0, 2**64).
         """
         bits = _challenge_batch(challenges, self.n_stages)
         if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
                                            and 0 <= int(noise_seed) < 2 ** 64):
             raise ValueError("noise_seed must be None or an int in [0, 2**64)")
-        sigmas = np.array([c.noise_sigma for c in self.chains])
-        noisy, rngs = np.flatnonzero(sigmas), []
-        if noise_seed is not None and noisy.size:
-            rngs = [_rng(w) for w in _chain_streams([noise_seed], self.width)[0, noisy]]
+        sigmas, rngs = np.array([[c.noise_sigma] for c in self.chains]), []
+        if noise_seed is not None and sigmas.any():
+            rngs = list(map(_rng, _chain_streams([noise_seed], self.width)[0]))
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
             diff = _delta(feature_matrix(block, "parity"), self._weights)
-            if rngs:
-                diff[:, noisy] = _disturb(diff[:, noisy], rngs, sigmas[noisy, None],
-                                          np.empty((len(rngs), len(block)))).T
+            if rngs:   # a quiet chain adds 0 * z, and -0.0 still reads 0
+                diff = _disturb(diff, rngs, sigmas, np.empty((self.width, len(block)))).T
             out[start:start + BLOCK_ROWS] = diff > 0
         return out
 

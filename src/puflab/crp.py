@@ -49,12 +49,11 @@ _META_RE = re.compile(rf"^# meta ({_META_KEY_RE.pattern})=(.*)$")
 
 
 class DatasetError(ValueError):
-    """Raised for files or rows that do not follow the dataset format."""
+    """Raised for files or rows that do not follow the dataset format.  The
+    message starts with ``line N: ``, and ``line`` holds N, 1-based."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

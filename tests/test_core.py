@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -575,13 +576,38 @@ def test_noise_flips_grow_with_sigma():
 
 def test_noise_past_float_max_keeps_its_sign():
     """A disturbance that overflows to +-inf still has the noise's sign, so a
-    chain's and a bank's seeded read-outs run without an overflow warning."""
+    chain's and a bank's seeded read-outs run without an overflow warning;
+    beside such chains a quiet one still reads its noise-free bits."""
     puf = sample_multibit(12, width=3, seed=8, noise_sigma=1e308)
     chal = random_challenges(2 * BLOCK_ROWS + 37, 12, seed=9)
     words = _assert_chain_read_outs(puf, chal, noise_seed=123)
     for k in range(puf.width):   # bit k reads the sign of chain k's normals
         z = np.random.default_rng(derive_seed(123, k)).standard_normal(len(chal))
         assert np.array_equal(words[:, k], z > 0)
+    mixed = MultiBitPuf(ArbiterChain(c.delays, 1e308 if c.noise_sigma else 0.0)
+                        for c in _mixed_bank().chains)
+    chal = random_challenges(2 * BLOCK_ROWS + 37, 8, seed=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = _assert_chain_read_outs(mixed, chal, noise_seed=123)
+    quiet = [k for k, c in enumerate(mixed.chains) if c.noise_sigma == 0.0]
+    assert quiet == [1, 3]
+    assert np.array_equal(words[:, quiet], mixed.respond(chal)[:, quiet])
+
+
+def test_noisy_bank_disturbs_its_whole_word_per_block(monkeypatch):
+    """A noisy read-out makes one ``_disturb`` call per block, each with every
+    column, quiet chains included."""
+    calls = []
+    disturb = puflab.core._disturb
+
+    def spy(diff, rngs, sigma, out):
+        calls.append((diff.shape, out.shape, np.shape(sigma)))
+        return disturb(diff, rngs, sigma, out)
+    monkeypatch.setattr(puflab.core, "_disturb", spy)
+    m = 2 * BLOCK_ROWS + 37
+    _mixed_bank().respond(random_challenges(m, 8, seed=11), noise_seed=7)
+    assert calls == [((rows, 5), (5, rows), (5, 1)) for rows in (BLOCK_ROWS, BLOCK_ROWS, 37)]
 
 
 def test_multibit_noise_reproducible():

@@ -201,6 +201,12 @@ def test_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _assert_line(exc, line):
+    """A dataset error holds its line and starts its message with it."""
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
 def test_load_reports_offending_line(tmp_path):
     crps = generate_crps(8, 5, seed=3)
     path = tmp_path / "ds.csv"
@@ -212,27 +218,27 @@ def test_load_reports_offending_line(tmp_path):
     (tmp_path / "m.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match="line 1") as exc:
         load_crps(tmp_path / "m.csv")
-    assert exc.value.line == 1
+    _assert_line(exc, 1)
 
     bad = lines.copy()
     bad[1] = "# challenge_bits=x response_bits=1"
     (tmp_path / "s.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match="line 2") as exc:
         load_crps(tmp_path / "s.csv")
-    assert exc.value.line == 2
+    _assert_line(exc, 2)
 
     bad = lines.copy()
     bad.insert(2, "# stray comment")
     (tmp_path / "c.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match="line 3") as exc:
         load_crps(tmp_path / "c.csv")
-    assert exc.value.line == 3
+    _assert_line(exc, 3)
 
     bad = [l for l in lines if l != "challenge_hex,response_hex"]
     (tmp_path / "h.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match="challenge_hex,response_hex") as exc:
         load_crps(tmp_path / "h.csv")
-    assert exc.value.line == lines.index("challenge_hex,response_hex") + 1
+    _assert_line(exc, lines.index("challenge_hex,response_hex") + 1)
 
     # corrupt the third data row; header block of this file is 8 lines
     data_start = lines.index("challenge_hex,response_hex") + 1
@@ -241,14 +247,14 @@ def test_load_reports_offending_line(tmp_path):
     (tmp_path / "x.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match=f"line {data_start + 3}") as exc:
         load_crps(tmp_path / "x.csv")
-    assert exc.value.line == data_start + 3
+    _assert_line(exc, data_start + 3)
 
     bad = lines.copy()
     bad[data_start] = "AB"
     (tmp_path / "f.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(DatasetError, match=f"line {data_start + 1}") as exc:
         load_crps(tmp_path / "f.csv")
-    assert exc.value.line == data_start + 1
+    _assert_line(exc, data_start + 1)
 
     bad = lines.copy()
     bad[data_start + 1] = "\u00c9F,1"
@@ -256,7 +262,7 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError,
                        match=f"line {data_start + 2}: non-ASCII byte 0xC3") as exc:
         load_crps(tmp_path / "u.csv")
-    assert exc.value.line == data_start + 2
+    _assert_line(exc, data_start + 2)
 
     # rows and the non-ASCII line number come from one split of the bytes
     head = [b"# puf-crp v1", b"# challenge_bits=8 response_bits=1",
@@ -265,7 +271,7 @@ def test_load_reports_offending_line(tmp_path):
         b"\r".join(head + [b"A5,1", b"\xC9F,0", b"3C,1"]) + b"\r")
     with pytest.raises(DatasetError, match="line 5: non-ASCII byte 0xC9") as exc:
         load_crps(tmp_path / "cr.csv")
-    assert exc.value.line == 5
+    _assert_line(exc, 5)
 
     # a meta key is set once; its repeat is named at its own line
     (tmp_path / "dup.csv").write_bytes(b"\n".join(
@@ -274,7 +280,7 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError,
                        match="line 4: repeated meta key 'seed'") as exc:
         load_crps(tmp_path / "dup.csv")
-    assert exc.value.line == 4
+    _assert_line(exc, 4)
 
     # a zero width, and a word prefix of another width, are named at their line
     (tmp_path / "zero.csv").write_bytes(
@@ -282,13 +288,13 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(DatasetError, match="^line 2: challenge_bits and "
                                            "response_bits must be >= 1$") as exc:
         load_crps(tmp_path / "zero.csv")
-    assert exc.value.line == 2
+    _assert_line(exc, 2)
     (tmp_path / "prefix.csv").write_bytes(
         b"\n".join(head + [b"A5,1", b"16hA5,0"]) + b"\n")
     with pytest.raises(DatasetError,
                        match="^line 5: prefix width 16 is not 8 in '16hA5'$") as exc:
         load_crps(tmp_path / "prefix.csv")
-    assert exc.value.line == 5
+    _assert_line(exc, 5)
 
     # a form feed is not a line break: strip() drops it from line 4, and the
     # bad row on line 5 is still reported as line 5
@@ -296,7 +302,7 @@ def test_load_reports_offending_line(tmp_path):
         b"\n".join(head + [b"A5,1\x0c", b"ZZ,0"]) + b"\n")
     with pytest.raises(DatasetError, match="line 5: ") as exc:
         load_crps(tmp_path / "ff.csv")
-    assert exc.value.line == 5
+    _assert_line(exc, 5)
     # blank data rows, between the rows and after them, are skipped
     (tmp_path / "ff_ok.csv").write_bytes(
         b"\n".join(head + [b"A5,1\x0c", b"", b"  ", b"3C,0", b""]) + b"\n")
