@@ -30,24 +30,25 @@ product of parity features and folded weights, in ``BLOCK_ROWS`` row blocks:
 a bank's read-out and a quality study both take their noise-free differences
 from it, so a study's bits are its banks' bit for bit.
 
-Chain k's noise stream under seed s is ``default_rng(derive_seed(s, k))``,
-for s in [0, 2**64), the range of ``derive_seed``.  ``_chain_streams`` hashes
-many streams' SeedSequence words in one batched pass, and numpy's own PCG64 is
-built from them (``_rng``), exactly equal to ``default_rng(derive_seed(s, k))``.
-A bank with no noisy chain hashes no stream.
+Chain k's stream under seed s is ``default_rng(derive_seed(s, k))``, for any
+seed ``derive_seed`` takes.  ``_bank_streams`` hashes one bank's ``width``
+streams' SeedSequence words in one batched pass, for its delays and its noise
+alike; ``_chain_streams`` hashes the streams of many uint64 seeds for a
+quality study.  numpy's own PCG64 is built from those words (``_rng``),
+exactly equal to ``default_rng(derive_seed(s, k))``.  A bank with no noisy
+chain hashes no noise stream.
 
 Every delay is drawn on one path, ``_draw_delays``: each stream's
 ``normal(mean, sigma, (n, 4))``, written straight into one stacked array.
 Each delay is checked once against the overflow bound of ``_check_delays``,
 by the chain that holds it or, for a study, by ``_sample_population``.
 ``sample_chain`` draws from ``default_rng(seed)``; ``sample_multibit`` draws
-chain k from ``default_rng(derive_seed(seed, k))``, built by ``_rng`` from one
-batched hash of its chains' words; a quality study draws its whole population
-in one call, ``_sample_population``, after hashing every bank's chain streams
-with the study's noise streams.  A bank and a study
-both fold their stacked delays with one ``_fold``, the elementwise arithmetic
-of ``to_linear``, so a study's weights are its banks' bit for bit without
-building a chain or a bank.
+chain k from ``default_rng(derive_seed(seed, k))``, built by ``_rng`` from
+``_bank_streams``; a quality study draws its whole population in one call,
+``_sample_population``, after hashing every bank's chain streams with the
+study's noise streams.  A bank and a study both fold their stacked delays with
+one ``_fold``, the elementwise arithmetic of ``to_linear``, so a study's
+weights are its banks' bit for bit without building a chain or a bank.
 """
 
 from __future__ import annotations
@@ -161,6 +162,15 @@ def _derive_seeds(master, keys) -> np.ndarray:
     return _generate_state(np.hstack([entropy, keys]), 1)[:, 0]
 
 
+def _bank_streams(seed, width):
+    """(width, 4) uint64: row k holds the 4 words that seed the PCG64 of
+    ``default_rng(derive_seed(seed, k))``, chain k's stream, for any seed
+    ``derive_seed`` takes: the streams of one bank's delays or noise."""
+    if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
+        raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
+    return _generate_state(_seed_entropy(_derive_seeds(seed, np.arange(width)[:, None])), 4)
+
+
 def _chain_streams(noise_seeds, width):
     """(len(noise_seeds), width, 4) uint64: entry (r, k) holds the 4 words that
     seed the PCG64 of ``default_rng(derive_seed(noise_seeds[r], k))``, chain
@@ -172,7 +182,8 @@ def _chain_streams(noise_seeds, width):
 
 
 class _StreamWords(np.random.bit_generator.ISeedSequence):
-    """A stream's 4 words from ``_chain_streams``, the seed numpy's PCG64 takes:
+    """A stream's 4 words from ``_bank_streams`` or ``_chain_streams``, the seed
+    numpy's PCG64 takes:
     ``Generator(PCG64(_StreamWords(words)))`` is ``default_rng(derive_seed(s, k))``."""
 
     def __init__(self, words):
@@ -186,7 +197,7 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
 
 def _rng(words):
     """``default_rng(derive_seed(s, k))``, built from the 4 PCG64 seed words
-    that ``_chain_streams`` or ``sample_multibit`` hash for it."""
+    that ``_bank_streams`` or ``_chain_streams`` hash for it."""
     return np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
@@ -287,17 +298,14 @@ class MultiBitPuf:
         ``BLOCK_ROWS`` block for the whole word, a quiet chain's column by
         0 * z, which moves no bit.  So a word is reproducible from
         ``noise_seed`` alone and bit k is
-        ``chains[k].respond(c, derive_seed(noise_seed, k))``.  A bank with no
-        noisy chain hashes no stream.  ``noise_seed`` is None or an int in
-        [0, 2**64).
+        ``chains[k].respond(c, derive_seed(noise_seed, k))`` for any seed
+        that ``derive_seed`` takes.  A bank with no noisy chain hashes no
+        stream and ignores its ``noise_seed``, as a quiet chain does.
         """
         bits = _challenge_batch(challenges, self.n_stages)
-        if noise_seed is not None and not (isinstance(noise_seed, (int, np.integer))
-                                           and 0 <= int(noise_seed) < 2 ** 64):
-            raise ValueError("noise_seed must be None or an int in [0, 2**64)")
         sigmas, rngs = np.array([[c.noise_sigma] for c in self.chains]), []
         if noise_seed is not None and sigmas.any():
-            rngs = list(map(_rng, _chain_streams([noise_seed], self.width)[0]))
+            rngs = list(map(_rng, _bank_streams(noise_seed, self.width)))
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
@@ -379,11 +387,7 @@ def sample_multibit(n: int, width: int, params: DelayParams = DelayParams(),
     single chain can be rebuilt without instantiating the whole bank; all
     ``width`` child seeds and stream words are hashed in one batched pass.
     """
-    if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
-        raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
-    seeds = _derive_seeds(seed, np.arange(width)[:, None])
-    delays = _draw_delays(list(map(_rng, _generate_state(_seed_entropy(seeds), 4))),
-                          n, params)
+    delays = _draw_delays(list(map(_rng, _bank_streams(seed, width))), n, params)
     return MultiBitPuf([ArbiterChain(d, noise_sigma) for d in delays])
 
 

@@ -45,7 +45,10 @@ COLUMNS = "challenge_hex,response_hex"
 
 _SHAPE_RE = re.compile(r"^# challenge_bits=(\d+) response_bits=(\d+)$")
 _META_KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
-_META_RE = re.compile(rf"^# meta ({_META_KEY_RE.pattern})=(.*)$")
+# one line of ASCII, which save_crps writes and load_crps reads back as one
+# value: str.splitlines also breaks at \x0b, \x0c and \x1c-\x1e
+_META_VALUE_RE = re.compile(r"[\x00-\x09\x0e-\x1b\x1f-\x7f]*")
+_META_RE = re.compile(rf"^# meta ({_META_KEY_RE.pattern})=({_META_VALUE_RE.pattern})$")
 
 
 class DatasetError(ValueError):
@@ -89,8 +92,7 @@ class CrpSet:
         for key, value in meta.items():
             if not _META_KEY_RE.fullmatch(key):
                 raise ValueError(f"bad meta key {key!r}")
-            # save_crps writes ASCII and load_crps reads one value per line
-            if not value.isascii() or "".join(value.splitlines()) != value:
+            if not _META_VALUE_RE.fullmatch(value):
                 raise ValueError(f"meta value for {key!r} must be one line of ASCII")
         object.__setattr__(self, "challenges", challenges)
         object.__setattr__(self, "responses", responses)
@@ -198,8 +200,8 @@ def load_crps(path) -> CrpSet:
     while pos < len(lines) and lines[pos].startswith("#"):
         m = _META_RE.match(lines[pos])
         if not m:
-            raise DatasetError("bad meta line, expected '# meta key=value'",
-                               line=pos + 1)
+            raise DatasetError("bad meta line, expected '# meta key=value' with "
+                               "a one-line value", line=pos + 1)
         if m.group(1) in meta:
             raise DatasetError(f"repeated meta key {m.group(1)!r}", line=pos + 1)
         meta[m.group(1)] = m.group(2)

@@ -85,9 +85,7 @@ def uniqueness(stack) -> float:
 def bit_aliasing(stack) -> np.ndarray:
     """Fraction of 1s per response bit position, pooled over instances/challenges."""
     arr = _bits(stack, "stack", 2, 3)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    return arr.mean(axis=(0, 1))
+    return arr.reshape(*arr.shape[:2], -1).mean(axis=(0, 1))
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,26 @@ def test_attack_word_dataset_prints_per_bit_range(tmp_path, capsys):
                                        "4 stalled")
 
 
+def test_attack_says_when_a_fit_diverged(tmp_path, capsys):
+    """A bit whose final loss is above ln 2, the zero vector's loss that every
+    fit starts from, is counted as diverged; the count shows only when > 0."""
+    ds = tmp_path / "w.csv"
+    assert main(["generate", "--n", "16", "--chains", "4", "--count", "400",
+                 "--seed", "21", "-o", str(ds)]) == 0
+    fits = {("--lr=8",): "4 stalled; 2 diverged",   # ln 2 - 0.020 to ln 2 + 0.0076
+            ("--lr=1e5",): "4 stalled; 4 diverged",
+            # a step that rounds to zero keeps ln 2, up to the mean's rounding
+            ("--lr=5e-324",): "4 stalled",
+            (): "4 stalled",
+            ("--features=parity",): "cap; 0 stalled"}
+    for argv, ending in fits.items():
+        code, stdout, _ = run(capsys, "attack", str(ds), "--seed", "5",
+                              "--features=raw", *argv)
+        assert code == 0
+        epochs_line = stdout.splitlines()[-2]
+        assert epochs_line.startswith("epochs: ") and epochs_line.endswith(ending)
+
+
 def test_attack_usage_and_data_errors(big_dataset, tmp_path, capsys):
     code, _, err = run(capsys, "attack", str(big_dataset), "--test", "1.5")
     assert code == 1 and "--test" in err
@@ -453,6 +473,52 @@ def test_seeded_cli_fuzz(tmp_path, capsys, monkeypatch):
             pytest.fail(f"{argv} raised {exc!r}")
         assert code in (0, 1), argv
         capsys.readouterr()
+
+
+FUZZ_BYTES = b"0123456789ABCDEFafhxG,#=' \t\r\n\x0b\x0c\x1c\x1e\x00\xc9"
+
+
+def test_seeded_dataset_fuzz(tmp_path, capsys):
+    """300 copies of a tiny dataset, each with 1-4 seeded byte edits (a byte
+    replaced, inserted or deleted), go through ``attack``: each exits 0, 1 or
+    2 without raising, each exit 2 names its line, and a file that exits 1
+    loads, so every malformed file exits 2.  Only bytes after the
+    ``# challenge_bits=`` line are edited: an edited width could ask for a
+    word of gigabytes, which a test must not allocate."""
+    clean = tmp_path / "clean.csv"
+    assert main(["generate", "--n", "8", "--chains", "3", "--count", "12",
+                 "--seed", "1", "--noise-sigma", "0.5", "-o", str(clean)]) == 0
+    capsys.readouterr()
+    data = clean.read_bytes()
+    head = data.index(b"\n", data.index(b"# challenge_bits=")) + 1
+    rnd = random.Random(31)
+    codes = []
+    for op in range(300):
+        body = bytearray(data[head:])
+        for _ in range(rnd.randint(1, 4)):
+            at = rnd.randrange(len(body) + 1)
+            byte = rnd.choice([rnd.randrange(256), rnd.choice(FUZZ_BYTES)])
+            edit = rnd.randrange(3)
+            if edit == 0 or not body:
+                body.insert(at, byte)
+            elif edit == 1:
+                body[at - 1] = byte
+            else:
+                del body[at - 1]
+        path = tmp_path / f"f{op}.csv"
+        path.write_bytes(data[:head] + body)
+        try:
+            code = main(["attack", str(path), "--epochs", "2"])
+        except Exception as exc:
+            pytest.fail(f"{bytes(body)!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), bytes(body)
+        if code == 2:
+            assert re.match(r"puflab: data error: line \d+: ", err), (bytes(body), err)
+        if code == 1:   # a usage error, such as a split with no rows left to train
+            load_crps(path)
+        codes.append(code)
+    assert {0, 2} <= set(codes)
 
 
 # ---------------------------------------------------------------------------

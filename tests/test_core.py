@@ -1,6 +1,7 @@
 """Race simulation, linear reduction, seeding and challenge enumeration."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -429,15 +430,19 @@ def test_mixed_bank_columns_are_chain_read_outs():
 
 
 def test_multibit_noise_seed_range():
-    """A bank's noise seed is an int in [0, 2**64): anything else would be
-    cast to some other uint64 seed, so it is refused."""
+    """A bank takes every noise seed that ``derive_seed`` takes, as a chain
+    does, and bit k is chain k's read-out under ``derive_seed(noise_seed, k)``;
+    a seed that a chain refuses, the bank refuses with the same error."""
     puf = _mixed_bank()
     chal = random_challenges(40, 8, seed=46)
-    for bad in (1.5, -1, 2 ** 64, [1, 2]):
-        with pytest.raises(ValueError, match=r"noise_seed must be None or an int"):
-            puf.respond(chal, noise_seed=bad)
-    for noise_seed in (0, 2 ** 32, 2 ** 63, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+    for noise_seed in (0, 2 ** 32, 2 ** 63, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
+                       2 ** 64, 2 ** 200, [1, 2]):
         _assert_chain_read_outs(puf, chal, noise_seed)
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error) as chain_error:
+            puf.chains[0].respond(chal, noise_seed=bad)
+        with pytest.raises(error, match=re.escape(str(chain_error.value))):
+            puf.respond(chal, noise_seed=bad)
 
 
 def test_whole_matrix_delta_is_block_products_and_bank_read_out():
@@ -498,9 +503,11 @@ def test_quiet_bank_ignores_its_noise_seed(monkeypatch):
 
     def no_streams(*args):
         raise AssertionError("a quiet bank hashed its noise streams")
-    monkeypatch.setattr(puflab.core, "_chain_streams", no_streams)
-    for noise_seed in (0, 7, 2 ** 64 - 1):
+    monkeypatch.setattr(puflab.core, "_bank_streams", no_streams)
+    for noise_seed in (0, 7, 2 ** 64 - 1, 2 ** 64, 1.5):
         assert np.array_equal(puf.respond(chal, noise_seed=noise_seed), clean)
+    with pytest.raises(AssertionError, match="hashed its noise streams"):
+        _mixed_bank().respond(chal, noise_seed=7)   # a noisy bank does hash them
 
 
 @pytest.mark.seeded

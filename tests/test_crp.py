@@ -8,8 +8,8 @@ import pytest
 from puflab.bits import format_hex_word
 from puflab.core import (DelayParams, derive_seed, random_challenges,
                          sample_multibit)
-from puflab.crp import (CrpSet, DatasetError, generate_crps, import_hex_rows,
-                        load_crps, save_crps, split_crps)
+from puflab.crp import (_META_VALUE_RE, CrpSet, DatasetError, generate_crps,
+                        import_hex_rows, load_crps, save_crps, split_crps)
 
 # Ten logged rows as they came off an external capture: tab separated,
 # Verilog-prefixed 64-bit challenges, 64-bit responses.  Four of the response
@@ -281,6 +281,15 @@ def test_load_reports_offending_line(tmp_path):
                        match="line 4: repeated meta key 'seed'") as exc:
         load_crps(tmp_path / "dup.csv")
     _assert_line(exc, 4)
+    # str.splitlines breaks a meta value at these five, bytes.splitlines does
+    # not: load_crps names the line, rather than CrpSet refusing the value
+    for char in b"\x0b\x0c\x1c\x1d\x1e":
+        (tmp_path / "ctl.csv").write_bytes(b"\n".join(
+            head[:2] + [b"# meta note=a" + bytes([char]) + b"b"] + head[2:]
+            + [b"A5,1", b"3C,0"]) + b"\n")
+        with pytest.raises(DatasetError, match="^line 3: bad meta line") as exc:
+            load_crps(tmp_path / "ctl.csv")
+        _assert_line(exc, 3)
 
     # a zero width, and a word prefix of another width, are named at their line
     (tmp_path / "zero.csv").write_bytes(
@@ -310,6 +319,15 @@ def test_load_reports_offending_line(tmp_path):
     assert crps.challenges.tolist() == [
         [1, 0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1, 0, 0]]
     assert crps.responses.tolist() == [[1], [0]]
+
+
+def test_meta_value_rule_is_one_line_of_ascii():
+    """The one meta-value pattern, which ``CrpSet`` and ``load_crps`` share,
+    takes exactly the ASCII characters that ``str.splitlines`` does not split."""
+    for code in range(0x80):
+        char = chr(code)
+        assert bool(_META_VALUE_RE.fullmatch(char)) == (char.splitlines() == [char])
+    assert not _META_VALUE_RE.fullmatch("\u00e9")
 
 
 def test_load_empty_dataset(tmp_path):

@@ -99,6 +99,7 @@ def test_bit_aliasing_single_bit_is_pooled_uniformity():
     stack = rng.integers(0, 2, size=(6, 30))
     alias = bit_aliasing(stack)
     assert alias.shape == (1,)
+    assert np.array_equal(alias, bit_aliasing(stack[:, :, None]))  # its 3-D form, w = 1
     assert alias[0] == pytest.approx(uniformity(stack))
 
 
