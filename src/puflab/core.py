@@ -31,12 +31,14 @@ a bank's read-out and a quality study both take their noise-free differences
 from it, so a study's bits are its banks' bit for bit.
 
 Chain k's stream under seed s is ``default_rng(derive_seed(s, k))``, for any
-seed ``derive_seed`` takes.  ``_bank_streams`` hashes one bank's ``width``
-streams' SeedSequence words in one batched pass, for its delays and its noise
-alike; ``_chain_streams`` hashes the streams of many uint64 seeds for a
-quality study.  numpy's own PCG64 is built from those words (``_rng``),
-exactly equal to ``default_rng(derive_seed(s, k))``.  A bank with no noisy
-chain hashes no noise stream.
+seed ``derive_seed`` takes.  ``_bank_streams`` is the one hasher of those
+streams: given the SeedSequence entropy words of any number of seeds
+(``_entropy`` of any master, ``_seed_entropy`` of uint64 seeds), it hashes
+every seed's ``width`` streams in one batched pass, for a bank's delays, a
+bank's noise and a quality study's banks and noise alike.  numpy's own PCG64
+is built from those words (``_rng``), exactly equal to
+``default_rng(derive_seed(s, k))``.  A bank with no noisy chain hashes no
+noise stream.
 
 Every delay is drawn on one path, ``_draw_delays``: each stream's
 ``normal(mean, sigma, (n, 4))``, written straight into one stacked array.
@@ -45,10 +47,11 @@ by the chain that holds it or, for a study, by ``_sample_population``.
 ``sample_chain`` draws from ``default_rng(seed)``; ``sample_multibit`` draws
 chain k from ``default_rng(derive_seed(seed, k))``, built by ``_rng`` from
 ``_bank_streams``; a quality study draws its whole population in one call,
-``_sample_population``, after hashing every bank's chain streams with the
-study's noise streams.  A bank and a study both fold their stacked delays with
-one ``_fold``, the elementwise arithmetic of ``to_linear``, so a study's
-weights are its banks' bit for bit without building a chain or a bank.
+``_sample_population``, which keys every bank and noisy read-out of the study
+and hashes all their chain streams in one ``_bank_streams`` call.  A bank and a
+study both fold their stacked delays with one ``_fold``, the elementwise
+arithmetic of ``to_linear``, so a study's weights are its banks' bit for bit
+without building a chain or a bank.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy's own SeedSequence entropy assembly: private, so the seeded tests pin _entropy
+from numpy.random.bit_generator import _coerce_to_uint32_array
 
 from .features import _challenge_batch, feature_matrix
 
@@ -146,44 +151,37 @@ def _seed_entropy(seeds):
     return np.column_stack([seeds & _MASK32, seeds >> 32, zero, zero])
 
 
+def _entropy(master):
+    """(1, >= 4) uint64: the 32-bit words ``SeedSequence(master)`` assembles
+    from any master it takes, zero-padded to 4 as a spawn key pads them."""
+    words = _coerce_to_uint32_array(np.random.SeedSequence(master).entropy)
+    return np.append(words, np.zeros(4, np.uint32)[len(words):]).astype(np.uint64)[None]
+
+
 def _derive_seeds(master, keys) -> np.ndarray:
     """``derive_seed(master, *key)`` for every row of a (rows, depth) key array,
-    as uint64.  A non-negative int master of any size is hashed with all the
-    keys in one pass; other entropy, or a key from 2**32 up, takes
-    ``derive_seed`` row by row."""
+    as uint64, hashed with all the keys in one pass.  A key is one 32-bit word,
+    so one from 2**32 up is refused."""
     keys = np.asarray(keys, dtype=np.uint64)
-    if not (isinstance(master, (int, np.integer)) and master >= 0
-            and keys.max(initial=0) <= _MASK32):
-        return np.array([derive_seed(master, *key) for key in keys.tolist()],
-                        dtype=np.uint64)
-    master = int(master)   # its 32-bit words, zero-padded to SeedSequence's 4
-    words = [master >> s & _MASK32 for s in range(0, max(master.bit_length(), 128), 32)]
-    entropy = np.tile(np.array(words, dtype=np.uint64), (len(keys), 1))
-    return _generate_state(np.hstack([entropy, keys]), 1)[:, 0]
+    if keys.max(initial=0) > _MASK32:
+        raise ValueError("keys must be < 2**32")
+    return _generate_state(np.hstack([_entropy(master).repeat(len(keys), 0), keys]), 1)[:, 0]
 
 
-def _bank_streams(seed, width):
-    """(width, 4) uint64: row k holds the 4 words that seed the PCG64 of
-    ``default_rng(derive_seed(seed, k))``, chain k's stream, for any seed
-    ``derive_seed`` takes: the streams of one bank's delays or noise."""
+def _bank_streams(entropy, width):
+    """(rows, width, 4) uint64: entry (r, k) holds the 4 words that seed the
+    PCG64 of ``default_rng(derive_seed(s, k))``, chain k's stream under the seed
+    s whose ``_entropy`` is row r of ``entropy``: the delay or noise streams of
+    one bank per row, all hashed in one pass."""
     if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
         raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
-    return _generate_state(_seed_entropy(_derive_seeds(seed, np.arange(width)[:, None])), 4)
-
-
-def _chain_streams(noise_seeds, width):
-    """(len(noise_seeds), width, 4) uint64: entry (r, k) holds the 4 words that
-    seed the PCG64 of ``default_rng(derive_seed(noise_seeds[r], k))``, chain
-    k's stream under uint64 seed ``noise_seeds[r]``: 32 bytes until drawn."""
-    entropy = _seed_entropy(np.repeat(np.asarray(noise_seeds, dtype=np.uint64), width))
-    chains = np.tile(np.arange(width, dtype=np.uint64), len(noise_seeds))
-    seeds = _generate_state(np.column_stack([entropy, chains]), 1)[:, 0]
+    chains = np.tile(np.arange(width, dtype=np.uint64), len(entropy))[:, None]
+    seeds = _generate_state(np.hstack([entropy.repeat(width, 0), chains]), 1)[:, 0]
     return _generate_state(_seed_entropy(seeds), 4).reshape(-1, width, 4)
 
 
 class _StreamWords(np.random.bit_generator.ISeedSequence):
-    """A stream's 4 words from ``_bank_streams`` or ``_chain_streams``, the seed
-    numpy's PCG64 takes:
+    """A stream's 4 words from ``_bank_streams``, the seed numpy's PCG64 takes:
     ``Generator(PCG64(_StreamWords(words)))`` is ``default_rng(derive_seed(s, k))``."""
 
     def __init__(self, words):
@@ -197,7 +195,7 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
 
 def _rng(words):
     """``default_rng(derive_seed(s, k))``, built from the 4 PCG64 seed words
-    that ``_bank_streams`` or ``_chain_streams`` hash for it."""
+    that ``_bank_streams`` hashes for it."""
     return np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
@@ -305,7 +303,7 @@ class MultiBitPuf:
         bits = _challenge_batch(challenges, self.n_stages)
         sigmas, rngs = np.array([[c.noise_sigma] for c in self.chains]), []
         if noise_seed is not None and sigmas.any():
-            rngs = list(map(_rng, _bank_streams(noise_seed, self.width)))
+            rngs = list(map(_rng, _bank_streams(_entropy(noise_seed), self.width)[0]))
         out = np.empty((bits.shape[0], self.width), dtype=np.uint8)
         for start in range(0, bits.shape[0], BLOCK_ROWS):
             block = bits[start:start + BLOCK_ROWS]
@@ -387,7 +385,7 @@ def sample_multibit(n: int, width: int, params: DelayParams = DelayParams(),
     single chain can be rebuilt without instantiating the whole bank; all
     ``width`` child seeds and stream words are hashed in one batched pass.
     """
-    delays = _draw_delays(list(map(_rng, _bank_streams(seed, width))), n, params)
+    delays = _draw_delays(list(map(_rng, _bank_streams(_entropy(seed), width)[0])), n, params)
     return MultiBitPuf([ArbiterChain(d, noise_sigma) for d in delays])
 
 
@@ -418,17 +416,22 @@ def _fold(delays):
     return w
 
 
-def _sample_population(n, width, params, master, instances, noise_seeds):
+def _sample_population(n, width, params, master, instances, repeats):
     """(instances, n+1, width) weights whose slice i is bank i's ``_weights``,
     bank i being ``sample_multibit(n, width, params, derive_seed(master, 0, i))``
     drawn through the same ``_draw_delays`` call as every other bank; and the
-    ``_chain_streams`` words of the uint64 ``noise_seeds``, hashed in the same
+    (instances, repeats, width, 4) ``_bank_streams`` words of each noisy
+    read-out (i, t) under ``derive_seed(master, 2, i, t)``, hashed in the same
     pass as the banks' chain streams."""
-    keys = np.column_stack([np.zeros(instances, int), np.arange(instances)])
-    streams = _chain_streams(np.append(_derive_seeds(master, keys), noise_seeds), width)
+    banks = np.column_stack([np.zeros(instances, int), np.arange(instances)])
+    reads = np.indices((instances, repeats)).reshape(2, -1).T
+    seeds = np.append(_derive_seeds(master, banks),
+                      _derive_seeds(master, np.insert(reads, 0, 2, axis=1)))
+    streams = _bank_streams(_seed_entropy(seeds), width)
     rngs = list(map(_rng, streams[:instances].reshape(-1, 4)))
     delays = _check_delays(_draw_delays(rngs, n, params))
-    return _fold(delays.reshape(instances, width, n, 4)), streams[instances:]
+    return (_fold(delays.reshape(instances, width, n, 4)),
+            streams[instances:].reshape(instances, repeats, width, 4))
 
 
 def all_challenges(n: int) -> np.ndarray:

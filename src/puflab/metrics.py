@@ -25,9 +25,10 @@ instances rounds differently.  Each noisy repeat disturbs the differences
 through ``core._disturb``, the noise draw of a chain's and a bank's read-out,
 into one reused (width, m) buffer and is scored before the next, so memory
 does not grow with repeats.  A noise-free study runs no repeats.  The
-SeedSequence words of every chain and noise stream, 32 bytes a stream, are
-hashed in batched passes up front, and numpy's own PCG64 is built from them,
-exactly equal to ``default_rng(derive_seed(s, k))``.
+SeedSequence words of every chain's delay and noise stream, 32 bytes a
+stream, are hashed up front in one pass of ``core._bank_streams``, the hasher
+of every bank, and numpy's own PCG64 is built from them, exactly equal to
+``default_rng(derive_seed(s, k))``.
 Without a seed the study draws one fresh master seed, derives everything from
 it and reports it as its seed, so the study can be rerun.
 """
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import _bit_array
-from .core import (DelayParams, _delta, _derive_seeds, _disturb, _rng,
-                   _sample_population, derive_seed, random_challenges)
+from .core import (DelayParams, _delta, _disturb, _rng, _sample_population,
+                   derive_seed, random_challenges)
 # perfbench's tracer wraps metrics.sample_multibit until ROADMAP item 1 retargets it
 from .core import sample_multibit  # noqa: F401
 from .features import feature_matrix
@@ -138,25 +139,19 @@ def evaluate_quality(n: int, instances: int, challenges: int, width: int = 1,
         raise ValueError("need at least two instances")
     if challenges < 1 or repeats < 1:
         raise ValueError("challenges and repeats must be >= 1")
-    if not 1 <= width <= np.iinfo(np.intp).max:   # past it np.arange(width) is empty
-        raise ValueError(f"width must be >= 1 and <= {np.iinfo(np.intp).max}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError("noise_sigma must be finite and non-negative")
     if noise_sigma > 0 and repeats < 2:
         raise ValueError("a noisy reliability study needs at least two repeats")
     master = np.random.SeedSequence().entropy if seed is None else seed
-    # the noisy read-outs (i, t), keyed (2, i, t), whose chain streams are hashed
-    # in one pass with the banks'
-    reads = np.indices((instances, repeats if noise_sigma > 0 else 0)).reshape(2, -1).T
-    noise_seeds = _derive_seeds(master, np.insert(reads, 0, 2, axis=1))
-    chal = random_challenges(challenges, n, seed=derive_seed(master, 1))
     weights, streams = _sample_population(n, width, params, master, instances,
-                                          noise_seeds)
+                                          repeats if noise_sigma > 0 else 0)
+    chal = random_challenges(challenges, n, seed=derive_seed(master, 1))
     feats = feature_matrix(chal, "parity")
     stack = np.empty((instances, challenges, width), dtype=np.uint8)
     noise = np.empty((width, challenges))
     flips = 0
-    for i, repeat_words in enumerate(streams.reshape(instances, -1, width, 4)):
+    for i, repeat_words in enumerate(streams):
         diff = _delta(feats, weights[i])   # per instance: stacked products move bits
         ref = stack[i] = diff > 0
         for words in repeat_words:   # a noisy repeat: chain k's read-out in row k

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import puflab.core
 from puflab.core import (BLOCK_ROWS, ArbiterChain, DelayParams, MultiBitPuf,
-                         _chain_streams, _delta, _derive_seeds, _draw_delays,
-                         _sample_population, _StreamWords, all_challenges,
-                         derive_seed, linear_disagreements, random_challenges,
-                         sample_chain, sample_multibit, to_linear)
+                         _bank_streams, _delta, _derive_seeds, _draw_delays,
+                         _entropy, _sample_population, _seed_entropy,
+                         _StreamWords, all_challenges, derive_seed,
+                         linear_disagreements, random_challenges, sample_chain,
+                         sample_multibit, to_linear)
 from puflab.features import feature_matrix
+from puflab.metrics import evaluate_quality
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +35,9 @@ def test_derive_seed_is_deterministic_and_keyed():
     assert 0 <= derive_seed(0) < 2 ** 64
 
 
-MASTERS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128 + 3,
-           np.random.SeedSequence().entropy)
+MASTERS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128 + 3, 2 ** 200,
+           np.random.SeedSequence().entropy, np.uint64(9), [1, 2], (5,),
+           [0, 2 ** 40])
 KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
     st.lists(st.integers(0, 2 ** 32 - 1), min_size=depth, max_size=depth),
     min_size=1, max_size=6))
@@ -46,12 +49,13 @@ KEY_ROWS = st.integers(1, 3).flatmap(lambda depth: st.lists(
 def test_batched_stream_seeds_equal_seed_sequence(master, keys):
     """One hashing pass over many keys gives every derived seed, and one over
     their chains the words from which numpy's PCG64 builds every default_rng
-    state and every normal of one SeedSequence per chain stream."""
+    state and every normal of one SeedSequence per chain stream; the master's
+    own bank streams come from the same hasher."""
     seeds = _derive_seeds(master, keys)
     assert seeds.dtype == np.uint64
     assert seeds.tolist() == [derive_seed(master, *key) for key in keys]
     width = len(keys[0])
-    streams = _chain_streams(seeds, width)
+    streams = _bank_streams(_seed_entropy(seeds), width)
     assert streams.shape == (len(keys), width, 4)
     for seed, row in zip(seeds.tolist(), streams):
         for k, words in enumerate(row):
@@ -60,11 +64,14 @@ def test_batched_stream_seeds_equal_seed_sequence(master, keys):
             assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.standard_normal(1000),
                                   want.standard_normal(1000))
+    for k, words in enumerate(_bank_streams(_entropy(master), width)[0]):
+        assert (np.random.PCG64(_StreamWords(words)).state
+                == np.random.default_rng(derive_seed(master, k)).bit_generator.state)
 
 
 @pytest.mark.seeded
 def test_stream_words_seed_only_pcg64():
-    words = _chain_streams([7], 2)[0, 1]
+    words = _bank_streams(_entropy(7), 2)[0, 1]
     wrapped = _StreamWords(np.repeat(words, 2)[::2])   # a strided view
     assert wrapped.generate_state(4, "uint64").tolist() == words.tolist()
     assert (np.random.PCG64(wrapped).state
@@ -76,13 +83,39 @@ def test_stream_words_seed_only_pcg64():
 
 
 def test_batched_seeds_take_any_master_and_key():
-    for master, keys in (([3, 4], [[0], [5]]), (7, [[2 ** 32, 1], [0, 2 ** 40]]),
-                         (np.uint64(9), [[1]])):
+    """Any master hashes in the one pass; a key is one 32-bit word, and no
+    caller can reach 2**32 without 2**32 rows, so a larger key is refused."""
+    for master, keys in (([3, 4], [[0], [5]]), (np.uint64(9), [[1]]),
+                         ((), [[0, 2 ** 32 - 1]])):
         assert _derive_seeds(master, keys).tolist() == [derive_seed(master, *k)
                                                         for k in keys]
+    for keys in ([[2 ** 32, 1]], [[0, 2 ** 40]]):
+        with pytest.raises(ValueError, match="keys must be < 2"):
+            _derive_seeds(7, keys)
     with pytest.raises(ValueError):
         _derive_seeds(-1, [[0]])
+    with pytest.raises(TypeError):
+        _derive_seeds(1.5, [[0]])
     assert _derive_seeds(5, np.empty((0, 3))).shape == (0,)
+
+
+def test_seeded_streams_never_derive_row_by_row(monkeypatch):
+    """A sequence seed is hashed in the batched pass, as an int is: a bank's
+    delays, its noisy read-out and a quality study never call ``derive_seed``."""
+    want_bank = sample_multibit(8, 4, seed=[1, 2], noise_sigma=0.5)
+    chal = random_challenges(50, 8, seed=3)
+    want_words = want_bank.respond(chal, noise_seed=[1, 2])
+    want_report = evaluate_quality(8, 3, 40, width=2, repeats=2, noise_sigma=0.5,
+                                   seed=[1, 2])
+
+    def no_derive(*args):
+        raise AssertionError("derived a seed row by row")
+    monkeypatch.setattr(puflab.core, "derive_seed", no_derive)
+    bank = sample_multibit(8, 4, seed=[1, 2], noise_sigma=0.5)
+    assert np.array_equal(bank._weights, want_bank._weights)
+    assert np.array_equal(bank.respond(chal, noise_seed=[1, 2]), want_words)
+    assert evaluate_quality(8, 3, 40, width=2, repeats=2, noise_sigma=0.5,
+                            seed=[1, 2]) == want_report
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +415,7 @@ def test_multibit_width_and_chain_reconstruction(n, width, master, mean, sigma):
     for k, chain in enumerate(bank.chains):
         assert np.array_equal(chain.delays, _drawn_delays(master, k, n, params))
         assert np.array_equal(bank._weights[:, k], to_linear(chain).weights)
-    # without a seed every chain draws fresh entropy of its own
+    # without a seed the bank draws one fresh master, each chain its own stream
     fresh = sample_multibit(n, width, params=params).chains
     assert all(not np.array_equal(a.delays, b.delays)
                for i, a in enumerate(fresh) for b in fresh[i + 1:])
@@ -514,16 +547,14 @@ def test_quiet_bank_ignores_its_noise_seed(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 24), width=st.integers(1, 8), instances=st.integers(1, 4),
        master=st.sampled_from(MASTERS), mean=st.floats(-50, 50),
-       sigma=st.floats(0.01, 20), noisy=st.integers(0, 3))
+       sigma=st.floats(0.01, 20), repeats=st.integers(0, 3))
 def test_population_weights_are_sampled_banks(n, width, instances, master, mean,
-                                              sigma, noisy):
+                                              sigma, repeats):
     """One batched pass gives every bank's folded weights bit for bit, each a
-    C-contiguous slice, and the noise seeds' chain streams beside them."""
+    C-contiguous slice, and every noisy read-out's chain streams beside them."""
     params = DelayParams(mean, sigma)
-    noise_seeds = _derive_seeds(master, np.column_stack([np.full(noisy, 2),
-                                                         np.arange(noisy)]))
     weights, streams = _sample_population(n, width, params, master, instances,
-                                          noise_seeds)
+                                          repeats)
     assert weights.shape == (instances, n + 1, width)
     for i, w in enumerate(weights):
         seed = derive_seed(master, 0, i)
@@ -531,7 +562,11 @@ def test_population_weights_are_sampled_banks(n, width, instances, master, mean,
                 for k in range(width)]
         assert w.flags.c_contiguous
         assert np.array_equal(w, np.column_stack(want))
-    assert np.array_equal(streams, _chain_streams(noise_seeds, width))
+    assert streams.shape == (instances, repeats, width, 4)
+    for i, t, k in np.ndindex(streams.shape[:3]):
+        want = np.random.default_rng(derive_seed(derive_seed(master, 2, i, t), k))
+        got = np.random.PCG64(_StreamWords(streams[i, t, k]))
+        assert got.state == want.bit_generator.state
 
 
 def test_multibit_validation():

@@ -2,15 +2,19 @@
 
 A non-blank line is docstring, else code if it holds a token that is not a
 comment, else comment; only the code count measures less code.  Prints one
-line per file and a total.  Run from the repository root:
+line per file and a total; exits 1 if it finds no module.  Run from any
+directory:
 
     python tools/src_lines.py
 """
 
 import ast
-import glob
 import io
+import sys
 import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
@@ -30,12 +34,14 @@ def counts(text):
 
 
 def main():
+    paths = sorted(ROOT.glob("src/puflab/*.py"))
+    if not paths:
+        sys.exit(f"no module found in {ROOT / 'src' / 'puflab'}")
     total = [0, 0, 0]
-    for path in sorted(glob.glob("src/puflab/*.py")):
-        with open(path, encoding="utf-8") as f:
-            file_counts = counts(f.read())
+    for path in paths:
+        file_counts = counts(path.read_text(encoding="utf-8"))
         total = [t + c for t, c in zip(total, file_counts)]
-        print(path, *file_counts)
+        print(path.relative_to(ROOT).as_posix(), *file_counts)
     print("total code, docstring, comment:", *total)
 
 
