@@ -47,11 +47,6 @@ def _sigmoid(z, e, out=None, tmp=None):
     return np.divide(np.maximum(e, z >= 0, out=out), np.add(1.0, e, out=tmp), out=out)
 
 
-def _softplus(z, e, out=None, tmp=None):
-    """log(1 + exp(z)) given e = exp(-|z|), in the form that never overflows."""
-    return np.add(np.maximum(z, 0.0, out=out), np.log1p(e, out=tmp), out=out)
-
-
 def sigmoid(z):
     """Numerically stable logistic function, exact at 0 and safe at |z| ~ 1000."""
     z = np.asarray(z, dtype=np.float64)
@@ -78,9 +73,11 @@ def _check_hyperparameters(lr=DEFAULT_LR, epochs=1, l2=0.0, tol=0.0):
 
 def _loss(W, Z, E, Y, l2, out=None, tmp=None):
     """Per-column mean loss and ridge term of logits Z = X @ W given E = exp(-|Z|),
-    optionally in scratch ``out`` and ``tmp`` of Z's shape."""
-    loss = np.mean(np.subtract(_softplus(Z, E, out, tmp), np.multiply(Y, Z, out=tmp),
-                               out=out), axis=0)
+    optionally in scratch ``out`` and ``tmp`` of Z's shape.  The data term is
+    softplus(Z) - Y Z, with softplus(Z) = max(Z, 0) + log1p(E), which never
+    overflows."""
+    softplus = np.add(np.maximum(Z, 0.0, out=out), np.log1p(E, out=tmp), out=out)
+    loss = np.mean(np.subtract(softplus, np.multiply(Y, Z, out=tmp), out=out), axis=0)
     if l2:
         loss = loss + 0.5 * l2 * np.sum(W[:-1] ** 2, axis=0) / len(Z)
     return loss
@@ -129,11 +126,15 @@ def _descend(X, Y, lr, epochs, l2, tol):
     alone (at 563 and 1500 rows, all 64 bits of a word differed in their last
     bits).
 
-    The active columns' weights ``Ta`` and labels ``Ya`` are contiguous blocks,
-    compacted only on an epoch where a column stalls.  Every matrix product
-    is a fresh one of the active block, since BLAS results can depend on the
-    column count and the output buffer.  Elementwise steps reuse per-fit
-    scratch, as fresh (m, k) temporaries page-fault when the heap is trimmed.
+    Each epoch forms the loss and then the residual ``R = sigmoid(Z) - Ya``
+    before the stall test.  A column stalls when its loss did not improve by
+    ``tol``; a nan loss never improves, so a step that overflows ends that
+    column's fit at once.  The active columns' weights ``Ta``, labels ``Ya``
+    and residual ``R`` are contiguous blocks, narrowed together only on an
+    epoch where a column stalls.  Every matrix product is a fresh one of the
+    active block, since BLAS results can depend on the column count and the
+    output buffer.  Elementwise steps reuse per-fit scratch, as fresh (m, k)
+    temporaries page-fault when the heap is trimmed.
     """
     _check_hyperparameters(lr, epochs, l2, tol)
     m, d = X.shape
@@ -150,17 +151,17 @@ def _descend(X, Y, lr, epochs, l2, tol):
         E, S, T = bufs[:, :Z.size].reshape(3, *Z.shape)
         np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
         cur = _loss(Ta, Z, E, Ya, l2, S, T)
-        stalled = (prev[cols] - cur) < tol
+        R = np.subtract(_sigmoid(Z, E, S, T), Ya, out=S)
+        stalled = ~((prev[cols] - cur) >= tol)
         prev[cols] = cur
         history.append(prev.copy())
         if stalled.any():
             theta[:, cols[stalled]] = Ta[:, stalled]
             keep = ~stalled
-            cols, Ta, Ya = cols[keep], Ta[:, keep], Ya[:, keep]
-            Z, E, S, T = Z[:, keep], E[:, keep], None, None  # fresh this epoch
+            cols, Ta, Ya, R = cols[keep], Ta[:, keep], Ya[:, keep], R[:, keep]
             if cols.size == 0:
                 break
-        Ta -= lr * _gradient(X, Ta, np.subtract(_sigmoid(Z, E, S, T), Ya, out=S), l2)
+        Ta -= lr * _gradient(X, Ta, R, l2)
         updates[cols] += 1
     theta[:, cols] = Ta
     history.append(cross_entropy(theta, X, Y, l2=l2))
@@ -212,9 +213,10 @@ def attack_dataset(crps: CrpSet, test_fraction: float = 0.15,
     train, test = split_crps(crps, test_fraction, seed=seed)
     X_train = feature_matrix(train.challenges, feature)
     X_test = feature_matrix(test.challenges, feature)
-    theta, updates, history = _descend(X_train, train.responses.astype(np.float64),
-                                       lr, epochs, l2, tol)
-    predicted = predict_bits(theta, X_test)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a fit reads as diverged
+        theta, updates, history = _descend(X_train, train.responses.astype(np.float64),
+                                           lr, epochs, l2, tol)
+        predicted = predict_bits(theta, X_test)
     actual = test.responses
     per_bit = np.mean(predicted == actual, axis=0)
     word_exact = np.mean(np.all(predicted == actual, axis=1))

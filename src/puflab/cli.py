@@ -235,12 +235,13 @@ def _print_fits(reports, cap, what):  # stdout only: no comma, no leading '#'
     epochs = [e for r in reports for e in r.epochs_run]
     losses = [v for r in reports for v in r.final_loss]
     capped = epochs.count(cap)
-    # a fit starts at the zero vector's loss, ln 2; within 1e-9 of it is rounding
-    diverged = sum(v > np.log(2) + 1e-9 for v in losses)
+    # a fit starts at the zero vector's loss, ln 2; within 1e-9 of it is rounding,
+    # and an inf or nan loss diverged too
+    diverged = sum(not v <= np.log(2) + 1e-9 for v in losses)
     print(f"epochs: {capped}/{len(epochs)} {what} at the {cap}-epoch cap; "
           f"{len(epochs) - capped} stalled"
           + (f"; {diverged} diverged" if diverged else ""))
-    print(f"final loss: min {min(losses):.4g} max {max(losses):.4g}")
+    print(f"final loss: min {np.min(losses):.4g} max {np.max(losses):.4g}")
 
 
 ATTACK_OPTS = (

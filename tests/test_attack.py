@@ -239,7 +239,7 @@ def _reference_descend(X, Y, lr, epochs, l2, tol):
         row = prev.copy()
         row[cols] = cur
         history.append(row)
-        stalled = (prev[cols] - cur) < tol
+        stalled = ~((prev[cols] - cur) >= tol)   # a nan loss cannot improve
         prev[cols] = cur
         if stalled.any():
             active[cols[stalled]] = False
@@ -390,6 +390,13 @@ def test_attack_report_says_how_each_bit_ended():
     assert report.epochs_run == (500,) * 64
     assert len(report.final_loss) == 64
     assert max(report.final_loss) < np.log(2.0)
+    # a first step that overflows the logits makes every loss inf or nan, which
+    # cannot improve, so each bit stops after that update, with no
+    # RuntimeWarning (an error under this suite's settings)
+    blown = attack_dataset(generate_crps(16, 400, width=4, seed=21), lr=1.7e308,
+                           epochs=5, seed=5)
+    assert blown.epochs_run == (1, 1, 1, 1)
+    assert not any(v <= np.log(2.0) for v in blown.final_loss)
 
 
 def test_attack_raw_features_on_bank_stay_near_chance():

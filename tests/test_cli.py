@@ -158,7 +158,8 @@ def test_attack_word_dataset_prints_per_bit_range(tmp_path, capsys):
 
 def test_attack_says_when_a_fit_diverged(tmp_path, capsys):
     """A bit whose final loss is above ln 2, the zero vector's loss that every
-    fit starts from, is counted as diverged; the count shows only when > 0."""
+    fit starts from, or is not a number, is counted as diverged; the count
+    shows only when > 0."""
     ds = tmp_path / "w.csv"
     assert main(["generate", "--n", "16", "--chains", "4", "--count", "400",
                  "--seed", "21", "-o", str(ds)]) == 0
@@ -174,6 +175,15 @@ def test_attack_says_when_a_fit_diverged(tmp_path, capsys):
         assert code == 0
         epochs_line = stdout.splitlines()[-2]
         assert epochs_line.startswith("epochs: ") and epochs_line.endswith(ending)
+    # a first step that overflows the logits makes every loss inf or nan, which
+    # cannot improve: each bit stops there, with no numpy warning, as diverged,
+    # and a nan loss reads nan in the loss line wherever its bit sits
+    code, stdout, err = run(capsys, "attack", str(ds), "--seed", "5",
+                            "--features=parity", "--lr=1.7e308", "--epochs=5")
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[-2:] == [
+        "epochs: 0/4 bits at the 5-epoch cap; 4 stalled; 4 diverged",
+        "final loss: min nan max nan"]
 
 
 def test_attack_usage_and_data_errors(big_dataset, tmp_path, capsys):
