@@ -3,6 +3,17 @@
 Challenges and responses are bit vectors with a canonical text rendering:
 uppercase hex, zero-padded to ceil(width / 4) digits, no prefix.  Bit 1 of
 the vector is the most significant bit of the hex word.
+
+``_bit_array`` is the one bit-array rule of every public entry that takes bits
+(``format_hex_word``, ``feature_matrix``, the read-outs, ``CrpSet`` and the
+population figures).  Every entry is exactly 0 or 1 of a bool, integer or
+float dtype; a fraction, NaN, complex or string entry raises
+``ValueError("challenge bits must be 0 or 1")``, naming the input.  The array
+must also have one of the entry's dimension counts and at least one bit per
+word (the last axis), else ``ValueError("challenge bits must be a 2-D array
+with at least one bit per word")``, naming the counts allowed.  Callers keep
+only their own rules: a device's width, a set's row count, a population's
+non-emptiness.
 """
 
 from __future__ import annotations
@@ -58,22 +69,23 @@ def parse_hex_word(text: str, width: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=width)
 
 
-def _bit_array(values, what: str) -> np.ndarray:
-    """``values`` as uint8, once every entry is exactly 0 or 1 (0.5 raises)."""
+def _bit_array(values, what: str, ndims: tuple) -> np.ndarray:
+    """``values`` as uint8 under the module's one bit-array rule, ``what`` naming
+    them in its errors and ``ndims`` holding the dimension counts it allows."""
     arr = np.asarray(values)
-    ok = (arr.max(initial=0) <= 1 if arr.dtype == np.uint8
-          else np.all((arr == 0) | (arr == 1)))
-    if not ok:
+    if arr.ndim not in ndims or arr.shape[-1] < 1:
+        raise ValueError(f"{what} must be a {' or '.join(f'{d}-D' for d in ndims)} "
+                         "array with at least one bit per word")
+    # the kind test keeps a complex or string entry from comparing or casting past
+    if not (arr.max(initial=0) <= 1 if arr.dtype == np.uint8
+            else arr.dtype.kind in "biuf" and np.all((arr == 0) | (arr == 1))):
         raise ValueError(f"{what} must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 
 
 def format_hex_word(bits) -> str:
     """Render a bit vector as canonical hex: uppercase, zero-padded, MSB first."""
-    arr = _bit_array(bits, "bit values")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-D bit sequence")
+    arr = _bit_array(bits, "bit values", (1,))
     # packbits zero-fills the last byte's low bits; shift them off the value
     value = int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
     return f"{value:0{(arr.size + 3) // 4}X}"
-

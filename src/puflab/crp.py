@@ -60,20 +60,14 @@ class DatasetError(ValueError):
         self.line = line
 
 
-def _as_bit_matrix(values, name):
-    arr = _bit_array(np.array(values), f"{name} bits")  # a copy, frozen below
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D bit array")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class CrpSet:
     """Paired (m, n) challenges and (m, w) responses plus free-form metadata.
 
-    The bit matrices are read-only and ``meta`` is a read-only mapping of str
-    to str; to change metadata, build a new set.
+    Both matrices follow ``bits``' one rule as 2-D arrays with at least one bit
+    per word, and have the same row count.  The set holds its own read-only
+    uint8 copies, and ``meta`` is a read-only mapping of str to str; to change
+    metadata, build a new set.
     """
 
     challenges: np.ndarray
@@ -81,12 +75,12 @@ class CrpSet:
     meta: object = None
 
     def __post_init__(self):
-        challenges = _as_bit_matrix(self.challenges, "challenges")
-        responses = _as_bit_matrix(self.responses, "responses")
+        challenges = _bit_array(np.array(self.challenges), "challenge bits", (2,))
+        responses = _bit_array(np.array(self.responses), "response bits", (2,))
         if challenges.shape[0] != responses.shape[0]:
             raise ValueError("challenges and responses must have the same row count")
-        if challenges.shape[1] < 1 or responses.shape[1] < 1:
-            raise ValueError("challenge and response words need at least one bit")
+        challenges.setflags(write=False)
+        responses.setflags(write=False)
         meta = {} if self.meta is None else {str(k): str(v)
                                              for k, v in dict(self.meta).items()}
         for key, value in meta.items():

@@ -9,6 +9,10 @@ vector over {-1, +1}, both with a fixed +1 bias as the last entry:
   function.  That product is 1 - 2*(c_i xor ... xor c_n), so
   ``feature_matrix`` xor-scans the uint8 bits from the last stage and writes
   exact +-1 entries (never -0.0) and the bias into one C-contiguous array.
+
+Challenges follow ``bits``' one rule through ``_challenge_batch``, which every
+read-out shares: after ``np.atleast_2d`` they are a 2-D 0/1 array with at least
+one bit per row, and a device's read-out also requires its own width.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ FEATURE_MAPS = ("raw", "parity")
 
 def _challenge_batch(challenges, n=None) -> np.ndarray:
     """Challenges as an (m, n) uint8 batch, a 1-D challenge as one row."""
-    bits = _bit_array(np.atleast_2d(challenges), "challenge bits")
-    if bits.ndim != 2 or bits.shape[1] < 1:
-        raise ValueError("challenges must be an (m, n) bit array with n >= 1")
+    bits = _bit_array(np.atleast_2d(challenges), "challenge bits", (2,))
     if n is not None and bits.shape[1] != n:
         raise ValueError(f"challenge has {bits.shape[1]} bits, device expects {n}")
     return bits

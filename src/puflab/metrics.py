@@ -31,6 +31,10 @@ of every bank, and numpy's own PCG64 is built from them, exactly equal to
 ``default_rng(derive_seed(s, k))``.
 Without a seed the study draws one fresh master seed, derives everything from
 it and reports it as its seed, so the study can be rerun.
+
+The figures take bits by ``bits``' one rule: 1-D or 2-D responses, a 2-D or
+3-D stack.  An empty population, with no rows or no challenges, raises
+``ValueError``; it has no figure, and its mean would be a nan.
 """
 
 from __future__ import annotations
@@ -55,17 +59,11 @@ __all__ = [
 ]
 
 
-def _bits(values, name, min_dim, max_dim):
-    arr = np.asarray(values)
-    if not min_dim <= arr.ndim <= max_dim or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty {min_dim}-D to {max_dim}-D "
-                         "bit array")
-    return _bit_array(arr, f"{name} bits")
-
-
 def uniformity(responses) -> float:
     """Fraction of 1s over all response bits of one instance."""
-    return float(np.mean(_bits(responses, "responses", 1, 2)))
+    if not (arr := _bit_array(responses, "response bits", (1, 2))).size:
+        raise ValueError("responses must not be empty")
+    return float(np.mean(arr))
 
 
 def uniqueness(stack) -> float:
@@ -75,17 +73,18 @@ def uniqueness(stack) -> float:
     (k, m, w) response words, all to the same challenges.  A position where
     ``ones`` of the k instances read 1 differs in ones * (k - ones) pairs.
     """
-    arr = _bits(stack, "stack", 2, 3)
+    arr = _bit_array(stack, "stack bits", (2, 3))
     k = arr.shape[0]
-    if k < 2:
-        raise ValueError("uniqueness needs at least two instances")
+    if k < 2 or not arr.size:
+        raise ValueError("uniqueness needs at least two instances and one challenge")
     ones = arr.reshape(k, -1).sum(axis=0, dtype=np.int64)
     return float(2 * np.sum(ones * (k - ones)) / (k * (k - 1) * ones.size))
 
 
 def bit_aliasing(stack) -> np.ndarray:
     """Fraction of 1s per response bit position, pooled over instances/challenges."""
-    arr = _bits(stack, "stack", 2, 3)
+    if not (arr := _bit_array(stack, "stack bits", (2, 3))).size:
+        raise ValueError("stack must not be empty")
     return arr.reshape(*arr.shape[:2], -1).mean(axis=(0, 1))
 
 

@@ -1,9 +1,15 @@
-"""Hex codec behaviour."""
+"""Hex codec behaviour and the one bit-array rule."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from puflab.bits import HexFormatError, format_hex_word, parse_hex_word
+from puflab.core import sample_chain, sample_multibit
+from puflab.crp import CrpSet
+from puflab.features import feature_matrix
+from puflab.metrics import bit_aliasing, uniformity, uniqueness
 
 
 def test_parse_prefixed_word_is_msb_first():
@@ -109,3 +115,52 @@ def test_randomized_roundtrip():
             # a lowercase, prefixed rendering parses to the same bits
             assert np.array_equal(parse_hex_word(f"{width}h{text.lower()}", width),
                                   bits)
+
+
+# ---------------------------------------------------------------------------
+# every public entry that takes bits applies bits._bit_array's one rule
+
+_CHAIN, _BANK = sample_chain(4, seed=3), sample_multibit(4, width=2, seed=3)
+_CHALLENGES = [[1, 0, 1, 0], [0, 1, 1, 0]]
+_STACK = [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]
+
+# entry: (call on the bit input, a valid input, the name its messages give)
+_ENTRIES = {
+    "format_hex_word": (format_hex_word, [1, 0, 1], "bit values"),
+    "feature_matrix": (feature_matrix, _CHALLENGES, "challenge bits"),
+    "ArbiterChain.delta": (_CHAIN.delta, _CHALLENGES, "challenge bits"),
+    "ArbiterChain.respond": (_CHAIN.respond, _CHALLENGES, "challenge bits"),
+    "MultiBitPuf.respond": (_BANK.respond, _CHALLENGES, "challenge bits"),
+    "CrpSet.challenges": (lambda c: CrpSet(c, [[1]]), [[1, 0]], "challenge bits"),
+    "CrpSet.responses": (lambda r: CrpSet([[1, 0]], r), [[1]], "response bits"),
+    "uniformity": (uniformity, [[1, 0], [0, 1]], "response bits"),
+    "uniqueness": (uniqueness, _STACK, "stack bits"),
+    "bit_aliasing": (bit_aliasing, _STACK, "stack bits"),
+}
+
+
+def _with_first(nested, value):
+    """``nested`` lists with their first scalar replaced by ``value``."""
+    if isinstance(nested, list):
+        return [_with_first(nested[0], value), *nested[1:]]
+    return value
+
+
+_BAD_INPUTS = {
+    **{f"entry {v!r}": (lambda good, v=v: _with_first(good, v))
+       for v in (2, 0.5, np.nan, 1 + 0j, "1")},
+    "zero-width word": lambda good: np.zeros(np.shape(good)[:-1] + (0,)),
+    "one dimension too many": lambda good: [good],
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_INPUTS)
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_bit_entry_rejects_bad_bits_by_name(entry, bad):
+    call, good, name = _ENTRIES[entry]
+    call(good)                                  # the template itself is valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a ComplexWarning is no rejection
+        with pytest.raises(ValueError, match=f"^{name} must be (0 or 1|a .*-D array "
+                                             "with at least one bit per word)$"):
+            call(_BAD_INPUTS[bad](good))

@@ -311,8 +311,8 @@ def test_one_batch_rule_for_race_bank_and_features():
     bank = sample_multibit(4, width=3, seed=2)
     cube = np.zeros((2, 2, 4), dtype=np.uint8)
     for read_out in (chain.respond, chain.delta, bank.respond, feature_matrix):
-        with pytest.raises(ValueError, match=r"challenges must be an \(m, n\) "
-                                             r"bit array with n >= 1"):
+        with pytest.raises(ValueError, match="challenge bits must be a 2-D array "
+                                             "with at least one bit per word"):
             read_out(cube)
     one = [1, 0, 0, 1]
     assert chain.delta(one).shape == (1,)

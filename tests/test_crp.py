@@ -109,9 +109,9 @@ def test_crpset_validation():
         CrpSet([0, 1], [[1]])                      # 1-D challenges
     # a fraction or NaN is rejected, not floored to 0
     for bad in ([[0.5, 1]], [[np.nan, 1]], [[0, -1]]):
-        with pytest.raises(ValueError, match="challenges bits must be 0 or 1"):
+        with pytest.raises(ValueError, match="challenge bits must be 0 or 1"):
             CrpSet(bad, [[1]])
-        with pytest.raises(ValueError, match="responses bits must be 0 or 1"):
+        with pytest.raises(ValueError, match="response bits must be 0 or 1"):
             CrpSet([[0, 1]], bad)
     exact = CrpSet([[0.0, 1.0]], [[True]])
     assert exact.challenges.dtype == np.uint8 and exact.challenges.tolist() == [[0, 1]]

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_uniformity_validation():
         uniformity([0, 1, 2])
     # a fraction or NaN is rejected, not floored to 0
     for bad in ([0.5, 0.5], [np.nan, 1.0], [0, -1]):
-        with pytest.raises(ValueError, match="responses bits must be 0 or 1"):
+        with pytest.raises(ValueError, match="response bits must be 0 or 1"):
             uniformity(bad)
     assert uniformity([1.0, 0.0, 1.0, 1.0]) == 0.75
     assert uniformity([True, False]) == 0.5
@@ -74,6 +75,19 @@ def test_uniqueness_validation():
         uniqueness([[0, 1]])          # one instance
     with pytest.raises(ValueError):
         uniqueness([0, 1])            # 1-D
+
+
+def test_empty_populations_raise():
+    """A population with no rows or no challenges has no figure, not a nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="responses must not be empty"):
+            uniformity(np.zeros((0, 4), np.uint8))
+        empty = np.zeros((2, 0, 3), np.uint8)
+        with pytest.raises(ValueError, match="at least two instances and one challenge"):
+            uniqueness(empty)
+        with pytest.raises(ValueError, match="stack must not be empty"):
+            bit_aliasing(empty)
 
 
 def test_uniqueness_of_independent_chains():
